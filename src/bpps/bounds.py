@@ -58,8 +58,18 @@ def gamma(inst: Instance) -> tuple[int, ...]:
         if residual <= 0:
             # w_i >= 1 and w_i + s_c <= d force s_c <= d - 1 on valid data.
             raise ValueError(f"class {c} setup weight >= capacity")
-        out.append(-(-inst.class_weight(c) // residual))
+        out.append(ceil_div(inst.class_weight(c), residual))
     return tuple(out)
+
+
+def _weighted_setup(inst: Instance, g: tuple[int, ...]) -> int:
+    """Setup weight with class ``c`` counted ``gamma_c`` times."""
+    return sum(gc * s for gc, s in zip(g, inst.setup_weights))
+
+
+def _weighted_setup_cost(inst: Instance, g: tuple[int, ...]) -> int:
+    """Setup cost with class ``c`` counted ``gamma_c`` times."""
+    return sum(gc * f for gc, f in zip(g, inst.setup_costs))
 
 
 def zeta_lp_n(inst: Instance) -> Fraction:
@@ -72,12 +82,14 @@ def zeta_lp_n(inst: Instance) -> Fraction:
 
 def zeta_lp_dag(inst: Instance) -> Fraction:
     """Bound counting each class ``gamma_c`` times."""
-    g = gamma(inst)
-    weighted_setup = sum(gc * s for gc, s in zip(g, inst.setup_weights))
+    return _zeta_lp_dag(inst, gamma(inst))
+
+
+def _zeta_lp_dag(inst: Instance, g: tuple[int, ...]) -> Fraction:
     spread = Fraction(inst.bin_cost, inst.capacity) * (
-        inst.total_weight + weighted_setup
+        inst.total_weight + _weighted_setup(inst, g)
     )
-    return spread + sum(gc * f for gc, f in zip(g, inst.setup_costs))
+    return spread + _weighted_setup_cost(inst, g)
 
 
 def k_lower(inst: Instance) -> int:
@@ -86,17 +98,21 @@ def k_lower(inst: Instance) -> int:
     Ceiling of (total item weight plus each setup weight counted
     ``gamma_c`` times) over the capacity.  Always at least ``max gamma_c``.
     """
-    g = gamma(inst)
-    weighted_setup = sum(gc * s for gc, s in zip(g, inst.setup_weights))
-    return -(-(inst.total_weight + weighted_setup) // inst.capacity)
+    return _k_lower(inst, gamma(inst))
+
+
+def _k_lower(inst: Instance, g: tuple[int, ...]) -> int:
+    return ceil_div(inst.total_weight + _weighted_setup(inst, g), inst.capacity)
 
 
 def zeta_lp_ddag(inst: Instance) -> Fraction:
     """Strongest closed-form bound: integer bin usage, weighted setups."""
     g = gamma(inst)
-    return Fraction(inst.bin_cost * k_lower(inst)) + sum(
-        gc * f for gc, f in zip(g, inst.setup_costs)
-    )
+    return _zeta_lp_ddag(inst, g, _k_lower(inst, g))
+
+
+def _zeta_lp_ddag(inst: Instance, g: tuple[int, ...], kl: int) -> Fraction:
+    return Fraction(inst.bin_cost * kl) + _weighted_setup_cost(inst, g)
 
 
 @dataclass(frozen=True)
@@ -111,12 +127,14 @@ class BoundsReport:
 
 
 def bounds_report(inst: Instance) -> BoundsReport:
+    g = gamma(inst)
+    kl = _k_lower(inst, g)
     return BoundsReport(
-        gamma=gamma(inst),
-        k_lower=k_lower(inst),
+        gamma=g,
+        k_lower=kl,
         zeta_n=zeta_lp_n(inst),
-        zeta_dag=zeta_lp_dag(inst),
-        zeta_ddag=zeta_lp_ddag(inst),
+        zeta_dag=_zeta_lp_dag(inst, g),
+        zeta_ddag=_zeta_lp_ddag(inst, g, kl),
     )
 
 
@@ -170,11 +188,11 @@ def fractional_solution(
     """
     if variant not in FRACTIONAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    kl = k_lower(inst)
+    g = gamma(inst)
+    kl = _k_lower(inst, g)
     if k < kl:
         raise ValueError(f"k = {k} below the minimum bin count {kl}")
     d = inst.capacity
-    g = gamma(inst)
     x = Fraction(1, k)
     if variant == VARIANT_N:
         y = tuple(Fraction(1, k) for _ in inst.classes)
@@ -182,13 +200,12 @@ def fractional_solution(
         objective = zeta_lp_n(inst)
     else:
         y = tuple(Fraction(gc, k) for gc in g)
-        weighted_setup = sum(gc * s for gc, s in zip(g, inst.setup_weights))
         if variant == VARIANT_DAG:
-            z = Fraction(inst.total_weight + weighted_setup, k * d)
-            objective = zeta_lp_dag(inst)
+            z = Fraction(inst.total_weight + _weighted_setup(inst, g), k * d)
+            objective = _zeta_lp_dag(inst, g)
         else:
             z = Fraction(kl, k)
-            objective = zeta_lp_ddag(inst)
+            objective = _zeta_lp_ddag(inst, g, kl)
     return FractionalSolution(
         variant=variant,
         k=k,
@@ -265,7 +282,7 @@ def verify_fractional(inst: Instance, fs: FractionalSolution) -> ValidationRepor
                 v.append(Violation(ROW_MCI, c, total, g[c - 1]))
     if fs.variant == VARIANT_DDAG:
         total = k * fs.z_value
-        kl = k_lower(inst)
+        kl = _k_lower(inst, g)
         if total < kl:
             v.append(Violation(ROW_MBI, None, total, kl))
     return ValidationReport(tuple(v))

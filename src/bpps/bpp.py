@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .bounds import ceil_div
 from .core import BppsError
 
 RULE_NEXT_FIT = "NF"
@@ -72,7 +73,7 @@ class BppInstance:
 
     def volume_bound(self) -> int:
         """Ceiling of total weight over capacity: bins needed at least."""
-        return -(-self.total_weight // self.capacity)
+        return ceil_div(self.total_weight, self.capacity)
 
 
 @dataclass(frozen=True)
@@ -139,24 +140,30 @@ def fit_heuristic(
 def _heuristic_search(
     bi: BppInstance, perm_count: int, seed: int
 ) -> tuple[int, BppPacking]:
+    """Best (bin count, packing) over the fit rules and ``perm_count`` orders.
+
+    Random orders are drawn one at a time, only when the loop reaches them,
+    from a single seeded stream, so order k is the same however early the
+    search stops.  No packing can beat the volume bound, so the first one
+    that reaches it is returned.
+    """
     if perm_count < 1:
         raise ValueError("perm_count must be at least 1")
-    rng = random.Random(seed)
-    orders = [list(decreasing_order(bi))]
-    base = list(range(1, bi.n + 1))
-    for _ in range(perm_count - 1):
-        perm = base[:]
-        rng.shuffle(perm)
-        orders.append(perm)
-    best: tuple[int, BppPacking] | None = None
     floor = bi.volume_bound()
-    for order in orders:
+    rng = random.Random(seed)
+    base = list(range(1, bi.n + 1))
+    order: Sequence[int] = decreasing_order(bi)
+    best: tuple[int, BppPacking] | None = None
+    for k in range(perm_count):
+        if k:
+            order = base[:]
+            rng.shuffle(order)
         for rule in FIT_RULES:
             packing = fit_heuristic(bi, rule, order)
             if best is None or packing.bin_count < best[0]:
                 best = (packing.bin_count, packing)
-        if best[0] == floor:
-            break
+                if best[0] == floor:
+                    return best
     return best
 
 
@@ -165,6 +172,7 @@ def heuristic_beta(bi: BppInstance, perm_count: int = 50, seed: int = 0) -> int:
 
     The first order is always non-increasing weight; the remaining
     ``perm_count - 1`` are random permutations from the seeded generator.
+    The search stops at the first packing that reaches the volume bound.
     """
     return _heuristic_search(bi, perm_count, seed)[0]
 

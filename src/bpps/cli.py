@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import exact, gen, milp
 from .bounds import bounds_report, zeta_lp_dag, zeta_lp_ddag, zeta_lp_n
-from .cha import BPP_EXACT, BPP_MODES, cha, k_upper
+from .cha import BPP_EXACT, BPP_MODES, cha
 from .core import (
     BppsError,
     InfeasibleSolutionError,
@@ -149,7 +149,6 @@ def _cmd_cha(args: argparse.Namespace) -> int:
     solution, trace = cha(
         inst, args.bpp_mode, override_validation=args.allow_trivial
     )
-    kbar = k_upper(inst, args.bpp_mode)
     print(f"termination = {trace.termination}")
     print("beta = " + " ".join(str(b) for b in trace.beta))
     singles = " ".join(str(c) for c in sorted(trace.single_bin_classes)) or "-"
@@ -157,7 +156,8 @@ def _cmd_cha(args: argparse.Namespace) -> int:
     print(f"delta = {trace.delta if trace.delta is not None else '-'}")
     print(f"merge_class = {trace.merge_class if trace.merge_class is not None else '-'}")
     print(f"psi_bar = {trace.psi_bar}")
-    print(f"k_upper = {kbar}")
+    # k_upper sums the same per-class counts cha() has just solved.
+    print(f"k_upper = {sum(trace.beta)}")
     doubled = 2 * zeta_lp_dag(inst)
     relation = ">" if doubled > trace.psi_bar else "<="
     note = "" if args.bpp_mode == BPP_EXACT else " (informational in heuristic mode)"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .bounds import gamma, k_lower
+from .bounds import VARIANT_DAG, VARIANT_DDAG, VARIANT_N, gamma, k_lower
 from .cha import BPP_EXACT, BPP_HEURISTIC, k_upper
 from .core import (
     BppsError,
@@ -32,9 +32,6 @@ from .core import (
     require_valid,
 )
 
-VARIANT_N = "N"
-VARIANT_DAG = "DAG"
-VARIANT_DDAG = "DDAG"
 VARIANT_STAR = "STAR"
 MODEL_VARIANTS = (VARIANT_N, VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR)
 

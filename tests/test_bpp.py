@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bpps.bpp import (
+    FIT_RULES,
     BppInstance,
     NodeLimitExceeded,
     decreasing_order,
@@ -48,6 +49,27 @@ def oracle_beta(bi: BppInstance) -> int:
         loads.pop()
 
     walk(1, [])
+    return best
+
+
+def eager_heuristic_search(bi: BppInstance, perm_count: int, seed: int):
+    """Reference search: draw every order first, then run the fits."""
+    rng = random.Random(seed)
+    orders = [list(decreasing_order(bi))]
+    base = list(range(1, bi.n + 1))
+    for _ in range(perm_count - 1):
+        perm = base[:]
+        rng.shuffle(perm)
+        orders.append(perm)
+    best = None
+    floor = bi.volume_bound()
+    for order in orders:
+        for rule in FIT_RULES:
+            packing = fit_heuristic(bi, rule, order)
+            if best is None or packing.bin_count < best[0]:
+                best = (packing.bin_count, packing)
+        if best[0] == floor:
+            break
     return best
 
 
@@ -132,6 +154,30 @@ class TestHeuristicBeta:
         # With a single permutation only the sorted order is used, and
         # first-fit-decreasing already attains the optimum here.
         assert heuristic_beta(bi, perm_count=1, seed=0) == 2
+
+    def test_matches_eager_reference(self):
+        rng = random.Random(41)
+        instances = [
+            # Never reaches the volume bound (3 < 4 bins): every order is drawn.
+            BppInstance((3, 3, 3, 3), 5),
+            # Decreasing order needs 4 bins; only a later random order
+            # finds 3, so the packing depends on how the orders are drawn.
+            BppInstance((5, 5, 4, 4, 3, 3, 3, 3), 10),
+            BppInstance((7, 5, 4, 4, 3, 2, 2, 1), 9),
+            BppInstance((6, 4, 4, 6), 10),
+        ]
+        for _ in range(30):
+            n = rng.randint(1, 14)
+            cap = rng.randint(3, 20)
+            instances.append(
+                BppInstance(tuple(rng.randint(1, cap) for _ in range(n)), cap)
+            )
+        for bi in instances:
+            for perm_count in (1, 2, 50):
+                for seed in (0, 1, 7, 123):
+                    count, packing = eager_heuristic_search(bi, perm_count, seed)
+                    assert heuristic_beta(bi, perm_count, seed) == count
+                    assert heuristic_packing(bi, perm_count, seed) == packing
 
     def test_never_below_exact(self):
         rng = random.Random(5)

@@ -10,6 +10,7 @@ from bpps.cli import (
     EXIT_USAGE,
     main,
 )
+from bpps.cha import BPP_MODES, k_upper
 from bpps.core import Solution
 from bpps.files import read_instance, write_instance, write_solution
 from conftest import fig1_instance
@@ -85,6 +86,19 @@ def test_cha_output(fig1_file, capsys):
     assert "psi_bar = 61" in out
     assert "k_upper = 5" in out
     assert "guarantee: 2 * zeta_dag = 254/3 > psi_bar = 61" in out
+
+
+@pytest.mark.parametrize("mode", BPP_MODES)
+def test_cha_k_upper_matches_k_upper(tmp_path, capsys, mode):
+    inst_path = tmp_path / "inst.txt"
+    assert main(
+        ["gen", "--n", "25", "--m", "5", "--d", "200", "--seed", "3", "--out", str(inst_path)]
+    ) == EXIT_OK
+    capsys.readouterr()
+    assert main(["cha", "--instance", str(inst_path), "--bpp-mode", mode]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    expected = k_upper(read_instance(inst_path), mode)
+    assert f"k_upper = {expected}" in lines
 
 
 def test_emit_model_star(fig1_file, tmp_path, capsys):
