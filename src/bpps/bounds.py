@@ -62,16 +62,6 @@ def gamma(inst: Instance) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _weighted_setup(inst: Instance, g: tuple[int, ...]) -> int:
-    """Setup weight with class ``c`` counted ``gamma_c`` times."""
-    return sum(gc * s for gc, s in zip(g, inst.setup_weights))
-
-
-def _weighted_setup_cost(inst: Instance, g: tuple[int, ...]) -> int:
-    """Setup cost with class ``c`` counted ``gamma_c`` times."""
-    return sum(gc * f for gc, f in zip(g, inst.setup_costs))
-
-
 def zeta_lp_n(inst: Instance) -> Fraction:
     """Bound from spreading items and setups evenly over the bins."""
     spread = Fraction(inst.bin_cost, inst.capacity) * (
@@ -82,14 +72,7 @@ def zeta_lp_n(inst: Instance) -> Fraction:
 
 def zeta_lp_dag(inst: Instance) -> Fraction:
     """Bound counting each class ``gamma_c`` times."""
-    return _zeta_lp_dag(inst, gamma(inst))
-
-
-def _zeta_lp_dag(inst: Instance, g: tuple[int, ...]) -> Fraction:
-    spread = Fraction(inst.bin_cost, inst.capacity) * (
-        inst.total_weight + _weighted_setup(inst, g)
-    )
-    return spread + _weighted_setup_cost(inst, g)
+    return bounds_report(inst).zeta_dag
 
 
 def k_lower(inst: Instance) -> int:
@@ -98,21 +81,12 @@ def k_lower(inst: Instance) -> int:
     Ceiling of (total item weight plus each setup weight counted
     ``gamma_c`` times) over the capacity.  Always at least ``max gamma_c``.
     """
-    return _k_lower(inst, gamma(inst))
-
-
-def _k_lower(inst: Instance, g: tuple[int, ...]) -> int:
-    return ceil_div(inst.total_weight + _weighted_setup(inst, g), inst.capacity)
+    return bounds_report(inst).k_lower
 
 
 def zeta_lp_ddag(inst: Instance) -> Fraction:
     """Strongest closed-form bound: integer bin usage, weighted setups."""
-    g = gamma(inst)
-    return _zeta_lp_ddag(inst, g, _k_lower(inst, g))
-
-
-def _zeta_lp_ddag(inst: Instance, g: tuple[int, ...], kl: int) -> Fraction:
-    return Fraction(inst.bin_cost * kl) + _weighted_setup_cost(inst, g)
+    return bounds_report(inst).zeta_ddag
 
 
 @dataclass(frozen=True)
@@ -126,15 +100,23 @@ class BoundsReport:
     zeta_ddag: Fraction
 
 
+def _weighted(g: tuple[int, ...], values: tuple[int, ...]) -> int:
+    """Sum of ``values`` with class ``c`` counted ``gamma_c`` times."""
+    return sum(gc * v for gc, v in zip(g, values))
+
+
 def bounds_report(inst: Instance) -> BoundsReport:
+    """Every closed-form bound, from one ``gamma`` and one pass per weighting."""
     g = gamma(inst)
-    kl = _k_lower(inst, g)
+    load = inst.total_weight + _weighted(g, inst.setup_weights)
+    setup_cost = _weighted(g, inst.setup_costs)
+    kl = ceil_div(load, inst.capacity)
     return BoundsReport(
         gamma=g,
         k_lower=kl,
         zeta_n=zeta_lp_n(inst),
-        zeta_dag=_zeta_lp_dag(inst, g),
-        zeta_ddag=_zeta_lp_ddag(inst, g, kl),
+        zeta_dag=Fraction(inst.bin_cost, inst.capacity) * load + setup_cost,
+        zeta_ddag=Fraction(inst.bin_cost * kl) + setup_cost,
     )
 
 
@@ -188,8 +170,8 @@ def fractional_solution(
     """
     if variant not in FRACTIONAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    g = gamma(inst)
-    kl = _k_lower(inst, g)
+    report = bounds_report(inst)
+    g, kl = report.gamma, report.k_lower
     if k < kl:
         raise ValueError(f"k = {k} below the minimum bin count {kl}")
     d = inst.capacity
@@ -197,15 +179,15 @@ def fractional_solution(
     if variant == VARIANT_N:
         y = tuple(Fraction(1, k) for _ in inst.classes)
         z = Fraction(inst.total_weight + inst.total_setup_weight, k * d)
-        objective = zeta_lp_n(inst)
+        objective = report.zeta_n
     else:
         y = tuple(Fraction(gc, k) for gc in g)
         if variant == VARIANT_DAG:
-            z = Fraction(inst.total_weight + _weighted_setup(inst, g), k * d)
-            objective = _zeta_lp_dag(inst, g)
+            z = Fraction(inst.total_weight + _weighted(g, inst.setup_weights), k * d)
+            objective = report.zeta_dag
         else:
             z = Fraction(kl, k)
-            objective = _zeta_lp_ddag(inst, g, kl)
+            objective = report.zeta_ddag
     return FractionalSolution(
         variant=variant,
         k=k,
@@ -275,16 +257,15 @@ def verify_fractional(inst: Instance, fs: FractionalSolution) -> ValidationRepor
                 )
 
     if fs.variant in (VARIANT_DAG, VARIANT_DDAG):
-        g = gamma(inst)
+        report = bounds_report(inst)
         for c in inst.classes:
             total = k * fs.y_values[c - 1]
-            if total < g[c - 1]:
-                v.append(Violation(ROW_MCI, c, total, g[c - 1]))
-    if fs.variant == VARIANT_DDAG:
-        total = k * fs.z_value
-        kl = _k_lower(inst, g)
-        if total < kl:
-            v.append(Violation(ROW_MBI, None, total, kl))
+            if total < report.gamma[c - 1]:
+                v.append(Violation(ROW_MCI, c, total, report.gamma[c - 1]))
+        if fs.variant == VARIANT_DDAG:
+            total = k * fs.z_value
+            if total < report.k_lower:
+                v.append(Violation(ROW_MBI, None, total, report.k_lower))
     return ValidationReport(tuple(v))
 
 

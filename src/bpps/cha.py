@@ -72,12 +72,28 @@ def _solve(
     node_limit: int,
     perm_count: int,
     seed: int,
-) -> tuple[int, bpp.BppPacking]:
+) -> bpp.BppPacking:
     if mode == BPP_EXACT:
-        packing = bpp.exact_packing(bi, node_limit)
-    else:
-        packing = bpp.heuristic_packing(bi, perm_count, seed)
-    return packing.bin_count, packing
+        return bpp.exact_packing(bi, node_limit)
+    return bpp.heuristic_packing(bi, perm_count, seed)
+
+
+def _class_packings(
+    inst: Instance,
+    mode: str,
+    node_limit: int,
+    perm_count: int,
+    seed: int,
+) -> list[bpp.BppPacking]:
+    """Step 1, shared by :func:`cha` and :func:`k_upper`.
+
+    Each class is packed alone at capacity ``d - s_c``, class ``c`` with
+    seed ``seed + c``.
+    """
+    return [
+        _solve(class_bpp(inst, c), mode, node_limit, perm_count, seed + c)
+        for c in inst.classes
+    ]
 
 
 def cha(
@@ -105,14 +121,11 @@ def cha(
     f = inst.setup_costs
 
     # Step 1: pack every class alone at capacity d - s_c.
-    beta: list[int] = []
+    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
+    beta = [p.bin_count for p in packings]
     class_bins: list[list[frozenset[int]]] = []
-    for c in inst.classes:
+    for c, packing in zip(inst.classes, packings):
         items = inst.items_of_class(c)
-        count, packing = _solve(
-            class_bpp(inst, c), bpp_mode, node_limit, perm_count, seed + c
-        )
-        beta.append(count)
         class_bins.append(
             [frozenset(items[local - 1] for local in b) for b in packing.bins]
         )
@@ -143,7 +156,8 @@ def cha(
         inst.class_weight(c) + inst.setup_weights[c - 1] for c in single_sorted
     )
     agg = bpp.BppInstance(weights=block_weights, capacity=inst.capacity)
-    delta, agg_packing = _solve(agg, bpp_mode, node_limit, perm_count, seed)
+    agg_packing = _solve(agg, bpp_mode, node_limit, perm_count, seed)
+    delta = agg_packing.bin_count
     merged_bins = [
         frozenset(
             i
@@ -210,11 +224,5 @@ def k_upper(
     if bpp_mode not in BPP_MODES:
         raise ValueError(f"unknown bpp mode {bpp_mode!r}")
     require_valid(inst, override=override_validation)
-    total = 0
-    for c in inst.classes:
-        bi = class_bpp(inst, c)
-        if bpp_mode == BPP_EXACT:
-            total += bpp.exact_beta(bi, node_limit)
-        else:
-            total += bpp.heuristic_beta(bi, perm_count, seed + c)
-    return total
+    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
+    return sum(p.bin_count for p in packings)

@@ -3,25 +3,22 @@
 Subcommands: ``gen``, ``bounds``, ``cha``, ``solve``, ``emit-model``,
 ``verify``, ``report``, ``worstcase``.  Exit codes: 0 ok, 1 usage,
 2 I/O or malformed file, 3 infeasible/validation failure, 4 search limit
-reached.  ``BPPS_WORKERS`` sets the worker count for batch generation.
+reached.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import exact, gen, milp
-from .bounds import bounds_report, zeta_lp_dag, zeta_lp_ddag, zeta_lp_n
+from .bounds import bounds_report, zeta_lp_dag
 from .cha import BPP_EXACT, BPP_MODES, cha
 from .core import (
     BppsError,
     InfeasibleSolutionError,
-    Instance,
     InvalidInstanceError,
     Solution,
     TrivialInstanceError,
@@ -34,6 +31,7 @@ from .files import (
     FileFormatError,
     read_instance,
     read_solution,
+    render_instance,
     write_instance,
     write_solution,
 )
@@ -73,23 +71,14 @@ def _print_bins(sol: Solution) -> None:
         print(f"  {b}: " + " ".join(str(i) for i in sorted(items)))
 
 
-def _load_instance(path: str) -> Instance:
-    return read_instance(path)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.benchmark:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        configs = list(gen.benchmark_configs(args.base_seed))
-        workers = int(os.environ.get("BPPS_WORKERS", "1"))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                names = list(
-                    pool.map(_write_benchmark_instance, configs, [out_dir] * len(configs))
-                )
-        else:
-            names = [_write_benchmark_instance(cfg, out_dir) for cfg in configs]
+        names = [
+            _write_benchmark_instance(cfg, out_dir)
+            for cfg in gen.benchmark_configs(args.base_seed)
+        ]
         print(f"wrote {len(names)} instances to {out_dir}")
         return EXIT_OK
     try:
@@ -112,8 +101,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         write_instance(outcome.instance, args.out, text_comments)
         print(f"wrote {name} to {args.out}")
     else:
-        from .files import render_instance
-
         sys.stdout.write(render_instance(outcome.instance, text_comments))
     return EXIT_OK
 
@@ -134,7 +121,7 @@ def _write_benchmark_instance(cfg: gen.GeneratorConfig, out_dir: Path) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     report = bounds_report(inst)
     print("gamma = " + " ".join(str(g) for g in report.gamma))
     print(f"k_lower = {report.k_lower}")
@@ -145,7 +132,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_cha(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     solution, trace = cha(
         inst, args.bpp_mode, override_validation=args.allow_trivial
     )
@@ -173,7 +160,7 @@ def _cmd_cha(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     method = args.method
     if method == "auto":
         method = "brute" if inst.n <= exact.BRUTE_FORCE_MAX_ITEMS else "bnb"
@@ -201,7 +188,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_model(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     model = milp.build_model(
         inst,
         _VARIANT_FLAGS[args.variant],
@@ -218,7 +205,7 @@ def _cmd_emit_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    inst = _load_instance(args.instance)
+    inst = read_instance(args.instance)
     name, solution = read_solution(args.solution)
     report = check_feasible(inst, solution)
     if not report.ok:
@@ -277,9 +264,8 @@ def _worstcase_rows(args: argparse.Namespace) -> list[dict[str, str]]:
             )
             n, theta = args.n, value
         psi = n * (args.r + args.f1)
-        zn = zeta_lp_n(inst)
-        zdag = zeta_lp_dag(inst)
-        zddag = zeta_lp_ddag(inst)
+        report = bounds_report(inst)
+        zn, zdag, zddag = report.zeta_n, report.zeta_dag, report.zeta_ddag
         rows.append(
             {
                 "family": args.family,
@@ -423,6 +409,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except NodeLimitExceeded as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except RecursionError as exc:
+        # The recursive searches nest a frame or two per item.
+        print(
+            f"limit reached: search deeper than the recursion limit ({exc})",
+            file=sys.stderr,
+        )
         return EXIT_LIMIT
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .bounds import ceil_div, gamma, zeta_lp_ddag
+from .bounds import ceil_div, gamma
 from .cha import BPP_HEURISTIC, cha
 from .core import (
     BppsError,
@@ -145,8 +145,8 @@ def branch_and_bound(
     with room (skipping bins whose load and active-class set duplicate an
     earlier bin, which lead to symmetric subtrees) or to one fresh bin.
     The incumbent starts from the constructive heuristic.  When a limit is
-    hit the incumbent and the root relaxation value are returned with
-    status ``limit-reached``.
+    hit the incumbent and the root bound are returned with status
+    ``limit-reached``.
     """
     require_valid(inst, override=override_validation)
     d = inst.capacity
@@ -178,7 +178,8 @@ def branch_and_bound(
         # is at least sum_f and, summing the capacity constraint over all
         # used bins, total bins K satisfy K * d >= total_weight + sum_s;
         # K also cannot drop below the bins already open.  With no items
-        # assigned this is exactly r * k_lower + sum gamma_c f_c.
+        # assigned this is exactly r * k_lower + sum gamma_c f_c = zeta_ddag,
+        # the lower bound returned when a limit stops the search.
         k_min = ceil_div(total_weight + sum_s, d)
         return r * max(len(loads), k_min) + sum_f
 
@@ -246,9 +247,9 @@ def branch_and_bound(
         actives.pop()
         loads.pop()
 
+    root_lb = bound()
     walk(0)
     if aborted:
-        root_lb = int(zeta_lp_ddag(inst))
         return ExactResult(
             best_cost, best_solution, STATUS_LIMIT, min(root_lb, best_cost), nodes
         )

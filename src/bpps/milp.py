@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .bounds import VARIANT_DAG, VARIANT_DDAG, VARIANT_N, gamma, k_lower
+from .bounds import VARIANT_DAG, VARIANT_DDAG, VARIANT_N, bounds_report
 from .cha import BPP_EXACT, BPP_HEURISTIC, k_upper
 from .core import (
     BppsError,
@@ -197,7 +197,7 @@ def build_model(
                     )
                 )
     if variant in (VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR):
-        g = gamma(inst)
+        report = bounds_report(inst)
         for c in inst.classes:
             rows.append(
                 Row(
@@ -205,19 +205,19 @@ def build_model(
                     family=FAMILY_MCI,
                     terms=tuple((name, 1) for name in y_names[c - 1]),
                     sense=">=",
-                    rhs=g[c - 1],
+                    rhs=report.gamma[c - 1],
                 )
             )
-    if variant in (VARIANT_DDAG, VARIANT_STAR):
-        rows.append(
-            Row(
-                name="mbi",
-                family=FAMILY_MBI,
-                terms=tuple((name, 1) for name in z_names),
-                sense=">=",
-                rhs=k_lower(inst),
+        if variant in (VARIANT_DDAG, VARIANT_STAR):
+            rows.append(
+                Row(
+                    name="mbi",
+                    family=FAMILY_MBI,
+                    terms=tuple((name, 1) for name in z_names),
+                    sense=">=",
+                    rhs=report.k_lower,
+                )
             )
-        )
     return MilpModel(
         variant=variant,
         k=k,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from bpps.bounds import (
     VARIANT_DAG,
     VARIANT_DDAG,
     VARIANT_N,
+    BoundsReport,
     bounds_report,
     format_decimal,
     format_fraction,
@@ -84,6 +86,17 @@ class TestClosedForms:
             zn, zd, zdd = zeta_lp_n(inst), zeta_lp_dag(inst), zeta_lp_ddag(inst)
             assert zn <= zd <= zdd
             assert k_lower(inst) >= max(gamma(inst))
+            # The paper's formulas, written out from gamma alone.
+            g = gamma(inst)
+            load = inst.total_weight + sum(
+                gc * s for gc, s in zip(g, inst.setup_weights)
+            )
+            setup_cost = sum(gc * f for gc, f in zip(g, inst.setup_costs))
+            kl = math.ceil(Fraction(load, inst.capacity))
+            assert k_lower(inst) == kl
+            assert zd == Fraction(inst.bin_cost, inst.capacity) * load + setup_cost
+            assert zdd == inst.bin_cost * kl + setup_cost
+            assert bounds_report(inst) == BoundsReport(g, kl, zn, zd, zdd)
 
     def test_gamma_at_least_half_exact_class_optimum(self):
         # Volume bound vs the true per-class packing optimum.

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bpps.bounds import k_lower, zeta_lp_dag
+from bpps.bpp import exact_beta, heuristic_beta
 from bpps.cha import (
     BPP_EXACT,
     BPP_HEURISTIC,
@@ -13,6 +14,7 @@ from bpps.cha import (
     TERM_STEP3_MERGED,
     TERM_STEP3_UNMERGED,
     cha,
+    class_bpp,
     k_upper,
 )
 from bpps.core import (
@@ -144,3 +146,31 @@ class TestKUpper:
     def test_single_class_single_bin(self):
         inst = Instance((2, 2), 10, (1, 1), (3,), (0,), 1)
         assert k_upper(inst, BPP_EXACT, override_validation=True) == 1
+
+    def test_matches_per_class_reference_and_cha_beta(self):
+        # The per-class loop k_upper ran before it shared cha's step 1.
+        def reference(inst, mode, perm_count, seed):
+            total = 0
+            for c in inst.classes:
+                bi = class_bpp(inst, c)
+                if mode == BPP_EXACT:
+                    total += exact_beta(bi)
+                else:
+                    total += heuristic_beta(bi, perm_count, seed + c)
+            return total
+
+        # Two classes whose heuristic count depends on the seed: only some
+        # random orders pack (5, 5, 4, 4, 3, 3, 3, 3) into 3 bins of 10.
+        weights = (5, 5, 4, 4, 3, 3, 3, 3)
+        sensitive = Instance(weights * 2, 10, (1,) * 8 + (2,) * 8, (0, 0), (1, 1), 1)
+        cases = [(sensitive, 2, seed) for seed in range(8)]
+        rng = random.Random(53)
+        for _ in range(60):
+            inst = random_instance(rng, max_n=10)
+            cases.append((inst, rng.choice((1, 3, 7)), rng.randint(1, 1000)))
+        for inst, perm_count, seed in cases:
+            for mode in (BPP_EXACT, BPP_HEURISTIC):
+                kbar = k_upper(inst, mode, perm_count=perm_count, seed=seed)
+                assert kbar == reference(inst, mode, perm_count, seed)
+                _, trace = cha(inst, mode, perm_count=perm_count, seed=seed)
+                assert kbar == sum(trace.beta)

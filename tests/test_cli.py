@@ -11,7 +11,7 @@ from bpps.cli import (
     main,
 )
 from bpps.cha import BPP_MODES, k_upper
-from bpps.core import Solution
+from bpps.core import Instance, Solution
 from bpps.files import read_instance, write_instance, write_solution
 from conftest import fig1_instance
 
@@ -158,9 +158,29 @@ def test_worstcase_prop5(capsys):
     assert row[7] == "503/100"  # strengthened bound at theta=100
 
 
-def test_gen_benchmark_smoke(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BPPS_WORKERS", "1")
+def test_gen_benchmark_smoke(tmp_path, capsys):
     code = main(["gen", "--benchmark", "--out-dir", str(tmp_path / "bench")])
     assert code == EXIT_OK
     files = list((tmp_path / "bench").glob("*.txt"))
     assert len(files) == 480
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cha", "--bpp-mode", "exact"],
+        ["emit-model", "--variant", "star", "--exact-kbar", "--out", "model.lp"],
+    ],
+    ids=["cha-exact", "emit-model-exact-kbar"],
+)
+def test_search_past_recursion_limit_exits_limit(tmp_path, capsys, args):
+    # 1,200 items of weight 7 at residual capacity 20: the exact per-class
+    # search nests deeper than Python's recursion limit.
+    path = tmp_path / "deep.txt"
+    write_instance(Instance((7,) * 1200, 21, (1,) * 1200, (1,), (1,), 10), path)
+    args = [str(tmp_path / a) if a == "model.lp" else a for a in args]
+    code = main([args[0], "--instance", str(path), *args[1:]])
+    assert code == EXIT_LIMIT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("limit reached: ")
+    assert "Traceback" not in captured.out + captured.err

@@ -68,6 +68,7 @@ class TestBranchAndBound:
         result = branch_and_bound(fig1, node_limit=1)
         assert result.status == STATUS_LIMIT
         assert result.lower_bound <= 60 <= result.psi
+        assert result.lower_bound == min(int(zeta_lp_ddag(fig1)), result.psi)
         assert check_feasible(fig1, result.solution).ok
 
     def test_solution_feasible_randomized(self):
