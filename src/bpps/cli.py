@@ -65,6 +65,15 @@ def _rational(value: Fraction | int) -> str:
     return f"{format_fraction(value)} ({format_decimal(value)})"
 
 
+def _write_or_print(text: str, out: str | None, what: str) -> None:
+    """Write ``text`` to ``out`` and say so, or write it to stdout."""
+    if out:
+        Path(out).write_text(text, encoding="ascii")
+        print(f"wrote {what} to {out}")
+    else:
+        sys.stdout.write(text)
+
+
 def _print_bins(sol: Solution) -> None:
     print("bins:")
     for b, items in enumerate(sol.bins, start=1):
@@ -95,13 +104,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     outcome = gen.generate_verbose(cfg)
-    name = gen.instance_name(cfg)
-    text_comments = _gen_comments(cfg, outcome)
-    if args.out:
-        write_instance(outcome.instance, args.out, text_comments)
-        print(f"wrote {name} to {args.out}")
-    else:
-        sys.stdout.write(render_instance(outcome.instance, text_comments))
+    text = render_instance(outcome.instance, _gen_comments(cfg, outcome))
+    _write_or_print(text, args.out, gen.instance_name(cfg))
     return EXIT_OK
 
 
@@ -165,7 +169,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if method == "auto":
         method = "brute" if inst.n <= exact.BRUTE_FORCE_MAX_ITEMS else "bnb"
     if method == "brute":
-        result = exact.brute_force(inst, override_validation=args.allow_trivial)
+        try:
+            result = exact.brute_force(inst, override_validation=args.allow_trivial)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         result = exact.branch_and_bound(
             inst,
@@ -226,12 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = collect_report(args.dir)
-    text = render_csv(rows, REPORT_COLUMNS)
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_or_print(render_csv(rows, REPORT_COLUMNS), args.out, f"{len(rows)} rows")
     return EXIT_OK
 
 
@@ -255,14 +257,17 @@ def _worstcase_rows(args: argparse.Namespace) -> list[dict[str, str]]:
     lo, hi = args.sweep
     rows = []
     for value in range(lo, hi + 1):
-        if args.family == gen.FAMILY_PROP2:
-            inst = gen.worst_case(gen.FAMILY_PROP2, n=value, r=args.r, f1=args.f1)
-            n, theta = value, ""
-        else:
-            inst = gen.worst_case(
-                gen.FAMILY_PROP5, n=args.n, theta=value, r=args.r, f1=args.f1
-            )
-            n, theta = args.n, value
+        try:
+            if args.family == gen.FAMILY_PROP2:
+                inst = gen.worst_case(gen.FAMILY_PROP2, n=value, r=args.r, f1=args.f1)
+                n, theta = value, ""
+            else:
+                inst = gen.worst_case(
+                    gen.FAMILY_PROP5, n=args.n, theta=value, r=args.r, f1=args.f1
+                )
+                n, theta = args.n, value
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         psi = n * (args.r + args.f1)
         report = bounds_report(inst)
         zn, zdag, zddag = report.zeta_n, report.zeta_dag, report.zeta_ddag
@@ -287,12 +292,7 @@ def _worstcase_rows(args: argparse.Namespace) -> list[dict[str, str]]:
 
 def _cmd_worstcase(args: argparse.Namespace) -> int:
     rows = _worstcase_rows(args)
-    text = render_csv(rows, _WORSTCASE_COLUMNS)
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_or_print(render_csv(rows, _WORSTCASE_COLUMNS), args.out, f"{len(rows)} rows")
     return EXIT_OK
 
 

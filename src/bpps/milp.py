@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bounds import VARIANT_DAG, VARIANT_DDAG, VARIANT_N, bounds_report
 from .cha import BPP_EXACT, BPP_HEURISTIC, k_upper
@@ -55,15 +55,34 @@ class SolutionImportError(BppsError):
     """An imported assignment violates a model relation."""
 
 
-@dataclass(frozen=True)
-class Row:
+_FAMILY_BY_PREFIX = (
+    ("assign_", FAMILY_ASSIGNMENT),
+    ("cap_", FAMILY_CAPACITY),
+    ("link_", FAMILY_LINKING),
+    ("mci_", FAMILY_MCI),
+    ("mbi", FAMILY_MBI),
+)
+
+
+def _family_of(name: str) -> str:
+    for prefix, family in _FAMILY_BY_PREFIX:
+        if name.startswith(prefix):
+            return family
+    raise LpFormatError(f"unrecognized row name {name!r}")
+
+
+class Row(NamedTuple):
     """One linear constraint: terms sense rhs, e.g. ``x + y <= 1``."""
 
     name: str
-    family: str
     terms: tuple[tuple[str, int], ...]
     sense: str
     rhs: int
+
+    @property
+    def family(self) -> str:
+        """The row family, read from the name prefix."""
+        return _family_of(self.name)
 
 
 @dataclass(frozen=True)
@@ -111,8 +130,6 @@ def build_model(
     *,
     override_validation: bool = False,
     exact_bin_bound: bool = False,
-    perm_count: int = 50,
-    seed: int = 0,
 ) -> MilpModel:
     """Build one model variant for the instance.
 
@@ -126,13 +143,7 @@ def build_model(
     n, m = inst.n, inst.m
     if variant == VARIANT_STAR:
         mode = BPP_EXACT if exact_bin_bound else BPP_HEURISTIC
-        k = k_upper(
-            inst,
-            mode,
-            override_validation=override_validation,
-            perm_count=perm_count,
-            seed=seed,
-        )
+        k = k_upper(inst, mode, override_validation=override_validation)
     else:
         k = n
     bins = range(1, k + 1)
@@ -159,7 +170,6 @@ def build_model(
         rows.append(
             Row(
                 name=f"assign_{i}",
-                family=FAMILY_ASSIGNMENT,
                 terms=tuple((name, 1) for name in x_names[i - 1]),
                 sense="=",
                 rhs=1,
@@ -176,7 +186,6 @@ def build_model(
         rows.append(
             Row(
                 name=f"cap_{b}",
-                family=FAMILY_CAPACITY,
                 terms=tuple(terms),
                 sense="<=",
                 rhs=0,
@@ -190,7 +199,6 @@ def build_model(
                 rows.append(
                     Row(
                         name=f"link_{c}_{i}_{b}",
-                        family=FAMILY_LINKING,
                         terms=((x_row[b - 1], 1), (y_row[b - 1], -1)),
                         sense="<=",
                         rhs=0,
@@ -202,7 +210,6 @@ def build_model(
             rows.append(
                 Row(
                     name=f"mci_{c}",
-                    family=FAMILY_MCI,
                     terms=tuple((name, 1) for name in y_names[c - 1]),
                     sense=">=",
                     rhs=report.gamma[c - 1],
@@ -212,7 +219,6 @@ def build_model(
             rows.append(
                 Row(
                     name="mbi",
-                    family=FAMILY_MBI,
                     terms=tuple((name, 1) for name in z_names),
                     sense=">=",
                     rhs=report.k_lower,
@@ -283,22 +289,14 @@ def emit_lp_file(model: MilpModel, destination: str | Path) -> Path:
     return path
 
 
-_FAMILY_BY_PREFIX = (
-    ("assign_", FAMILY_ASSIGNMENT),
-    ("cap_", FAMILY_CAPACITY),
-    ("link_", FAMILY_LINKING),
-    ("mci_", FAMILY_MCI),
-    ("mbi", FAMILY_MBI),
-)
-
 _SENSES = ("<=", ">=", "=")
 
 
-def _family_of(name: str) -> str:
-    for prefix, family in _FAMILY_BY_PREFIX:
-        if name.startswith(prefix):
-            return family
-    raise LpFormatError(f"unrecognized row name {name!r}")
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise LpFormatError(f"{what} is not an integer: {text!r}") from None
 
 
 def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, int], ...]:
@@ -310,12 +308,9 @@ def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, int], ...]:
             sign = 1
         elif tok == "-":
             sign = -1
+        elif tok.isdecimal():
+            coeff = int(tok)
         else:
-            try:
-                coeff = int(tok)
-                continue
-            except ValueError:
-                pass
             value = sign * (1 if coeff is None else coeff)
             terms.append((tok, value))
             sign, coeff = 1, None
@@ -388,20 +383,14 @@ def parse_lp(text: str) -> MilpModel:
         if sense_pos is None or sense_pos != len(body) - 2:
             raise LpFormatError(f"row {name!r} lacks a trailing sense and rhs")
         terms = _parse_terms(body[:sense_pos], f"row {name}")
-        rows.append(
-            Row(
-                name=name,
-                family=_family_of(name),
-                terms=terms,
-                sense=body[sense_pos],
-                rhs=int(body[-1]),
-            )
-        )
+        _family_of(name)  # rejects a row name outside the five families
+        rhs = _integer(body[-1], f"rhs of row {name!r}")
+        rows.append(Row(name, terms, body[sense_pos], rhs))
     return MilpModel(
         variant=meta["variant"],
-        k=int(meta["k"]),
-        n=int(meta["n"]),
-        m=int(meta["m"]),
+        k=_integer(meta["k"], "header value k"),
+        n=_integer(meta["n"], "header value n"),
+        m=_integer(meta["m"], "header value m"),
         variables=tuple(binary_names),
         objective=objective,
         rows=tuple(rows),

@@ -184,3 +184,28 @@ def test_search_past_recursion_limit_exits_limit(tmp_path, capsys, args):
     captured = capsys.readouterr()
     assert captured.err.startswith("limit reached: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["worstcase", "--family", "prop2", "--sweep", "1:3"],
+        ["worstcase", "--family", "prop5", "--sweep", "0:1"],
+        ["worstcase", "--family", "prop2", "--sweep", "2:3", "--r", "0"],
+        ["solve", "--method", "brute", "--instance", "inst.txt"],
+    ],
+    ids=["prop2-n-below-2", "prop5-theta-below-1", "r-zero", "brute-25-items"],
+)
+def test_out_of_range_input_is_usage_error(tmp_path, capsys, args):
+    inst_path = tmp_path / "inst.txt"
+    assert main(
+        ["gen", "--n", "25", "--m", "5", "--d", "200", "--seed", "3", "--out", str(inst_path)]
+    ) == EXIT_OK
+    capsys.readouterr()
+    args = [str(inst_path) if a == "inst.txt" else a for a in args]
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

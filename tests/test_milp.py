@@ -8,9 +8,13 @@ from bpps.bounds import gamma, k_lower
 from bpps.core import Instance, Solution, active_classes, solution_cost
 from bpps.exact import brute_force
 from bpps.milp import (
+    FAMILY_ASSIGNMENT,
+    FAMILY_CAPACITY,
+    FAMILY_LINKING,
     FAMILY_MBI,
     FAMILY_MCI,
     MODEL_VARIANTS,
+    LpFormatError,
     MilpModel,
     Row,
     SolutionImportError,
@@ -100,6 +104,32 @@ class TestCounts:
         mbi = [row for row in model.rows if row.family == FAMILY_MBI][0]
         assert mbi.rhs == k_lower(fig1)
 
+    def test_row_counts_closed_forms(self, fig1):
+        rng = random.Random(97)
+        for inst in [fig1] + [random_instance(rng) for _ in range(10)]:
+            for variant in MODEL_VARIANTS:
+                model = build_model(inst, variant)
+                n, k = inst.n, model.k
+                expected = {FAMILY_ASSIGNMENT: n, FAMILY_CAPACITY: k, FAMILY_LINKING: n * k}
+                if variant != VARIANT_N:
+                    expected[FAMILY_MCI] = inst.m
+                if variant in (VARIANT_DDAG, VARIANT_STAR):
+                    expected[FAMILY_MBI] = 1
+                assert model.row_counts() == expected, variant
+
+    @pytest.mark.parametrize(
+        "name, family",
+        [
+            ("assign_3", FAMILY_ASSIGNMENT),
+            ("cap_2", FAMILY_CAPACITY),
+            ("link_1_3_2", FAMILY_LINKING),
+            ("mci_2", FAMILY_MCI),
+            ("mbi", FAMILY_MBI),
+        ],
+    )
+    def test_row_family_from_name(self, name, family):
+        assert Row(name, (("z_1", 1),), ">=", 1).family == family
+
     def test_star_respects_exact_flag(self, fig1):
         assert build_model(fig1, VARIANT_STAR).k == 5
         assert build_model(fig1, VARIANT_STAR, exact_bin_bound=True).k == 5
@@ -156,6 +186,37 @@ class TestLpText:
         text = render_lp(model)
         assert all(len(line) <= 79 for line in text.splitlines())
         assert parse_lp(text) == model
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (" assign_1:", " foo_1:", "unrecognized row name 'foo_1'"),
+        (" k=8", "", "missing 'k' in the header comment"),
+        ("Subject To\n", "Subject To\n + x_1_1\n", "constraint tokens before a row name"),
+        ("End\n", "End\nstray\n", "unexpected line outside sections: 'stray'"),
+        (" = 1\n", " + 2 = 1\n", "dangling coefficient in row assign_1"),
+        (" = 1\n", "\n", "row 'assign_1' lacks a trailing sense and rhs"),
+        (" = 1\n", " = one\n", "rhs of row 'assign_1' is not an integer: 'one'"),
+        (" k=8", " k=two", "header value k is not an integer: 'two'"),
+    ],
+    ids=[
+        "row-name",
+        "missing-header-key",
+        "tokens-before-row-name",
+        "outside-sections",
+        "dangling-coefficient",
+        "no-sense-and-rhs",
+        "non-integer-rhs",
+        "non-integer-header",
+    ],
+)
+def test_parse_lp_rejects_malformed_text(fig1, old, new, message):
+    text = render_lp(build_model(fig1, VARIANT_DDAG))
+    assert old in text
+    with pytest.raises(LpFormatError) as info:
+        parse_lp(text.replace(old, new, 1))
+    assert str(info.value) == message
 
 
 class TestIntegerPoints:
