@@ -35,13 +35,14 @@ VARIANT_DAG = "DAG"
 VARIANT_DDAG = "DDAG"
 FRACTIONAL_VARIANTS = (VARIANT_N, VARIANT_DAG, VARIANT_DDAG)
 
-# Row kinds reported by verify_fractional.
-ROW_ASSIGNMENT = "assignment-row"
-ROW_CAPACITY = "capacity-row"
-ROW_LINKING = "linking-row"
+#: Row families of the models (``milp``); ``verify_fractional`` reports a
+#: violated row by its family, and a violated variable bound as ROW_BOUND.
+FAMILY_ASSIGNMENT = "assignment"
+FAMILY_CAPACITY = "capacity"
+FAMILY_LINKING = "linking"
+FAMILY_MCI = "mci"
+FAMILY_MBI = "mbi"
 ROW_BOUND = "variable-bound"
-ROW_MCI = "min-classes-row"
-ROW_MBI = "min-bins-row"
 
 
 def gamma(inst: Instance) -> tuple[int, ...]:
@@ -231,7 +232,7 @@ def verify_fractional(inst: Instance, fs: FractionalSolution) -> ValidationRepor
     row_sum = k * fs.x_value
     if row_sum != 1:
         for i in inst.items:
-            v.append(Violation(ROW_ASSIGNMENT, i, row_sum, 1))
+            v.append(Violation(FAMILY_ASSIGNMENT, i, row_sum, 1))
 
     # Capacity: sum_i w_i x(i, b) + sum_c s_c y(c, b) <= d z(b), per bin.
     lhs = inst.total_weight * fs.x_value + sum(
@@ -240,7 +241,7 @@ def verify_fractional(inst: Instance, fs: FractionalSolution) -> ValidationRepor
     rhs = d * fs.z_value
     if lhs > rhs:
         for b in range(1, k + 1):
-            v.append(Violation(ROW_CAPACITY, b, lhs, rhs))
+            v.append(Violation(FAMILY_CAPACITY, b, lhs, rhs))
 
     # Linking: x(i, b) <= y(class(i), b), per item/bin pair.
     link_ok = [fs.x_value <= fs.y_values[c - 1] for c in inst.classes]
@@ -249,7 +250,7 @@ def verify_fractional(inst: Instance, fs: FractionalSolution) -> ValidationRepor
             for b in range(1, k + 1):
                 v.append(
                     Violation(
-                        ROW_LINKING,
+                        FAMILY_LINKING,
                         (i, b),
                         fs.x_value,
                         fs.y_values[inst.item_class(i) - 1],
@@ -261,11 +262,11 @@ def verify_fractional(inst: Instance, fs: FractionalSolution) -> ValidationRepor
         for c in inst.classes:
             total = k * fs.y_values[c - 1]
             if total < report.gamma[c - 1]:
-                v.append(Violation(ROW_MCI, c, total, report.gamma[c - 1]))
+                v.append(Violation(FAMILY_MCI, c, total, report.gamma[c - 1]))
         if fs.variant == VARIANT_DDAG:
             total = k * fs.z_value
             if total < report.k_lower:
-                v.append(Violation(ROW_MBI, None, total, report.k_lower))
+                v.append(Violation(FAMILY_MBI, None, total, report.k_lower))
     return ValidationReport(tuple(v))
 
 

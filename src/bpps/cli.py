@@ -220,8 +220,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"violation: {violation}")
         print(f"{name}: infeasible ({len(report.violations)} violations)", file=sys.stderr)
         return EXIT_INFEASIBLE
-    cost = solution_cost(inst, solution)
-    features = feature_report(inst, solution)
+    cost = solution_cost(inst, solution, report)
+    features = feature_report(inst, solution, report)
     print(f"{name}: feasible")
     print(f"psi = {cost.total} (bins {cost.bin_cost_total} + setups {cost.setup_cost_total})")
     print(f"bins = {features.bins_used}")

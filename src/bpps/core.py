@@ -294,9 +294,16 @@ def check_feasible(inst: Instance, sol: Solution) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def solution_cost(inst: Instance, sol: Solution) -> CostBreakdown:
-    """Cost of a feasible solution; raises if it is not feasible."""
-    report = check_feasible(inst, sol)
+def solution_cost(
+    inst: Instance, sol: Solution, report: ValidationReport | None = None
+) -> CostBreakdown:
+    """Cost of a feasible solution; raises if it is not feasible.
+
+    ``report`` is the caller's ``check_feasible(inst, sol)``, if it has
+    one; the solution is then not checked again.
+    """
+    if report is None:
+        report = check_feasible(inst, sol)
     if not report.ok:
         raise InfeasibleSolutionError(report)
     setup_total = sum(

@@ -20,10 +20,22 @@ losslessly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .bounds import VARIANT_DAG, VARIANT_DDAG, VARIANT_N, bounds_report
+from .bounds import (
+    FAMILY_ASSIGNMENT,
+    FAMILY_CAPACITY,
+    FAMILY_LINKING,
+    FAMILY_MBI,
+    FAMILY_MCI,
+    VARIANT_DAG,
+    VARIANT_DDAG,
+    VARIANT_N,
+    bounds_report,
+)
 from .cha import BPP_EXACT, BPP_HEURISTIC, k_upper
 from .core import (
     BppsError,
@@ -34,12 +46,6 @@ from .core import (
 
 VARIANT_STAR = "STAR"
 MODEL_VARIANTS = (VARIANT_N, VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR)
-
-FAMILY_ASSIGNMENT = "assignment"
-FAMILY_CAPACITY = "capacity"
-FAMILY_LINKING = "linking"
-FAMILY_MCI = "mci"
-FAMILY_MBI = "mbi"
 
 #: Solver output values within this distance of 0 or 1 are rounded.
 BINARY_TOLERANCE = 1e-6
@@ -62,6 +68,7 @@ _FAMILY_BY_PREFIX = (
     ("mci_", FAMILY_MCI),
     ("mbi", FAMILY_MBI),
 )
+_ROW_PREFIXES = tuple(prefix for prefix, _ in _FAMILY_BY_PREFIX)
 
 
 def _family_of(name: str) -> str:
@@ -165,45 +172,26 @@ def build_model(
         if fc:
             objective.extend((name, fc) for name in y_names[c - 1])
 
-    rows: list[Row] = []
-    for i in inst.items:
-        rows.append(
-            Row(
-                name=f"assign_{i}",
-                terms=tuple((name, 1) for name in x_names[i - 1]),
-                sense="=",
-                rhs=1,
-            )
-        )
+    # Unit terms are shared: x_i_b appears with coefficient 1 in assign_i
+    # and in link_c_i_b, y_c_b with -1 in every link_c_*_b.
+    x_units = [[(name, 1) for name in per_item] for per_item in x_names]
+    rows: list[Row] = [
+        Row(f"assign_{i}", tuple(x_units[i - 1]), "=", 1) for i in inst.items
+    ]
+    setups = [(per_class, s) for per_class, s in zip(y_names, inst.setup_weights) if s]
     for b in bins:
-        terms = [(x_names[i - 1][b - 1], inst.weight(i)) for i in inst.items]
-        terms.extend(
-            (y_names[c - 1][b - 1], inst.setup_weights[c - 1])
-            for c in inst.classes
-            if inst.setup_weights[c - 1]
-        )
+        terms = [(per_item[b - 1], w) for per_item, w in zip(x_names, inst.weights)]
+        terms.extend((per_class[b - 1], s) for per_class, s in setups)
         terms.append((z_names[b - 1], -inst.capacity))
-        rows.append(
-            Row(
-                name=f"cap_{b}",
-                terms=tuple(terms),
-                sense="<=",
-                rhs=0,
-            )
-        )
+        rows.append(Row(f"cap_{b}", tuple(terms), "<=", 0))
     for c in inst.classes:
+        y_negs = [(name, -1) for name in y_names[c - 1]]
         for i in inst.items_of_class(c):
-            x_row = x_names[i - 1]
-            y_row = y_names[c - 1]
-            for b in bins:
-                rows.append(
-                    Row(
-                        name=f"link_{c}_{i}_{b}",
-                        terms=((x_row[b - 1], 1), (y_row[b - 1], -1)),
-                        sense="<=",
-                        rhs=0,
-                    )
-                )
+            prefix = f"link_{c}_{i}_"
+            rows.extend(
+                Row(f"{prefix}{b}", pair, "<=", 0)
+                for b, pair in zip(bins, zip(x_units[i - 1], y_negs))
+            )
     if variant in (VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR):
         report = bounds_report(inst)
         for c in inst.classes:
@@ -237,30 +225,39 @@ def build_model(
 
 def _term_tokens(terms: Iterable[tuple[str, int]]) -> list[str]:
     tokens: list[str] = []
-    for pos, (name, coeff) in enumerate(terms):
-        if pos == 0:
-            if coeff < 0:
-                tokens.append("-")
-        else:
-            tokens.append("-" if coeff < 0 else "+")
-        mag = abs(coeff)
-        if mag == 1:
-            tokens.append(name)
-        else:
-            tokens.append(f"{mag} {name}")
+    for name, coeff in terms:
+        if coeff < 0:
+            tokens.append("-")
+            coeff = -coeff
+        elif tokens:
+            tokens.append("+")
+        tokens.append(name if coeff == 1 else f"{coeff} {name}")
     return tokens
 
 
 def _wrap(prefix: str, tokens: list[str], out: list[str]) -> None:
-    line = prefix
-    for tok in tokens:
-        if line and len(line) + 1 + len(tok) > _LINE_WIDTH:
+    """Append ``prefix`` and the tokens as lines of at most ``_LINE_WIDTH``.
+
+    A line breaks before a token that would overrun the width, and the
+    next line starts with a space.  Most rows fit one line, so the whole
+    line is joined first: a row that fits never breaks.
+    """
+    line = f"{prefix} {' '.join(tokens)}" if tokens else prefix
+    if len(line) <= _LINE_WIDTH:
+        if line:
             out.append(line)
-            line = " " + tok
+        return
+    parts = [prefix]
+    width = len(prefix)
+    for tok in tokens:
+        if width and width + 1 + len(tok) > _LINE_WIDTH:
+            out.append(" ".join(parts))
+            parts = ["", tok]
+            width = 1 + len(tok)
         else:
-            line = f"{line} {tok}" if line else " " + tok
-    if line:
-        out.append(line)
+            parts.append(tok)
+            width += 1 + len(tok)
+    out.append(" ".join(parts))
 
 
 def render_lp(model: MilpModel) -> str:
@@ -289,7 +286,8 @@ def emit_lp_file(model: MilpModel, destination: str | Path) -> Path:
     return path
 
 
-_SENSES = ("<=", ">=", "=")
+_SENSES = frozenset(("<=", ">=", "="))
+_SECTIONS = {"minimize": "objective", "subject to": "rows", "binaries": "binaries", "end": None}
 
 
 def _integer(text: str, what: str) -> int:
@@ -299,7 +297,8 @@ def _integer(text: str, what: str) -> int:
         raise LpFormatError(f"{what} is not an integer: {text!r}") from None
 
 
-def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, int], ...]:
+def _parse_terms(tokens: list[str], row: str | None = None) -> tuple[tuple[str, int], ...]:
+    """Terms of the objective, or of the named row, from their tokens."""
     terms: list[tuple[str, int]] = []
     sign = 1
     coeff: int | None = None
@@ -315,55 +314,62 @@ def _parse_terms(tokens: list[str], where: str) -> tuple[tuple[str, int], ...]:
             terms.append((tok, value))
             sign, coeff = 1, None
     if coeff is not None:
+        where = "objective" if row is None else f"row {row}"
         raise LpFormatError(f"dangling coefficient in {where}")
     return tuple(terms)
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse LP text written by :func:`render_lp` back into a model."""
+    """Parse LP text written by :func:`render_lp` back into a model.
+
+    Besides text outside the dialect, :class:`LpFormatError` rejects a
+    model that does not hold together: a variant outside
+    ``MODEL_VARIANTS``, a ``Binaries`` section without ``(n + m + 1) * k``
+    names, and a term naming a variable that ``Binaries`` does not list.
+    """
     meta: dict[str, str] = {}
     section = None
     objective_tokens: list[str] = []
     row_chunks: list[list[str]] = []
     binary_names: list[str] = []
     for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped:
+        tokens = raw.split()
+        if not tokens:
             continue
-        if stripped.startswith("\\"):
-            for tok in stripped[1:].split():
+        first = tokens[0]
+        if first[0] == "\\":
+            for tok in raw.strip()[1:].split():
                 if "=" in tok:
                     key, value = tok.split("=", 1)
                     meta[key] = value
             continue
-        lowered = stripped.lower()
-        if lowered == "minimize":
-            section = "objective"
-            continue
-        if lowered == "subject to":
-            section = "rows"
-            continue
-        if lowered == "binaries":
-            section = "binaries"
-            continue
-        if lowered == "end":
-            section = None
-            continue
-        tokens = stripped.split()
-        if section == "objective":
+        if len(tokens) <= 2:  # a section keyword is one or two words
+            lowered = raw.strip().lower()
+            if lowered in _SECTIONS:
+                section = _SECTIONS[lowered]
+                continue
+        if section == "rows":
+            # A token ending in ":" starts a row.  Emitted lines either
+            # start one (the only ":" ends their first token) or continue
+            # one (no ":"); other lines take the token-by-token scan.
+            if ":" not in raw and row_chunks:
+                row_chunks[-1].extend(tokens)
+            elif first[-1] == ":" and raw.count(":") == 1:
+                row_chunks.append(tokens)
+            else:
+                for tok in tokens:
+                    if tok.endswith(":"):
+                        row_chunks.append([tok])
+                    elif row_chunks:
+                        row_chunks[-1].append(tok)
+                    else:
+                        raise LpFormatError("constraint tokens before a row name")
+        elif section == "objective":
             objective_tokens.extend(tokens)
-        elif section == "rows":
-            for tok in tokens:
-                if tok.endswith(":"):
-                    row_chunks.append([tok])
-                elif row_chunks:
-                    row_chunks[-1].append(tok)
-                else:
-                    raise LpFormatError("constraint tokens before a row name")
         elif section == "binaries":
             binary_names.extend(tokens)
         else:
-            raise LpFormatError(f"unexpected line outside sections: {stripped!r}")
+            raise LpFormatError(f"unexpected line outside sections: {raw.strip()!r}")
 
     for key in ("variant", "k", "n", "m"):
         if key not in meta:
@@ -371,26 +377,46 @@ def parse_lp(text: str) -> MilpModel:
 
     if objective_tokens and objective_tokens[0].endswith(":"):
         objective_tokens = objective_tokens[1:]
-    objective = _parse_terms(objective_tokens, "objective")
+    objective = _parse_terms(objective_tokens)
 
     rows: list[Row] = []
     for chunk in row_chunks:
         name = chunk[0][:-1]
-        body = chunk[1:]
-        sense_pos = next(
-            (p for p, tok in enumerate(body) if tok in _SENSES), None
-        )
-        if sense_pos is None or sense_pos != len(body) - 2:
+        body = chunk[1:-2]
+        # The sense is the last token but one and no earlier token is one.
+        if len(chunk) < 3 or chunk[-2] not in _SENSES or not _SENSES.isdisjoint(body):
             raise LpFormatError(f"row {name!r} lacks a trailing sense and rhs")
-        terms = _parse_terms(body[:sense_pos], f"row {name}")
-        _family_of(name)  # rejects a row name outside the five families
-        rhs = _integer(body[-1], f"rhs of row {name!r}")
-        rows.append(Row(name, terms, body[sense_pos], rhs))
+        terms = _parse_terms(body, name)
+        if not name.startswith(_ROW_PREFIXES):
+            _family_of(name)  # raises: the name is outside the five families
+        rhs = chunk[-1]
+        # Plain digits skip _integer, whose message would be built per row.
+        rhs = int(rhs) if rhs.isdecimal() else _integer(rhs, f"rhs of row {name!r}")
+        rows.append(Row(name, terms, chunk[-2], rhs))
+
+    variant = meta["variant"]
+    k = _integer(meta["k"], "header value k")
+    n = _integer(meta["n"], "header value n")
+    m = _integer(meta["m"], "header value m")
+    if variant not in MODEL_VARIANTS:
+        raise LpFormatError(f"unknown variant {variant!r} in the header comment")
+    if len(binary_names) != (n + m + 1) * k:
+        raise LpFormatError(
+            f"Binaries lists {len(binary_names)} variables, not (n + m + 1) * k = {(n + m + 1) * k}"
+        )
+    known = set(binary_names)
+    named = chain(objective, chain.from_iterable(map(attrgetter("terms"), rows)))
+    if not known.issuperset(map(itemgetter(0), named)):
+        owners = [("objective", objective)] + [(f"row {row.name!r}", row.terms) for row in rows]
+        for owner, terms in owners:
+            for var, _ in terms:
+                if var not in known:
+                    raise LpFormatError(f"{owner} names {var!r}, which Binaries does not list")
     return MilpModel(
-        variant=meta["variant"],
-        k=_integer(meta["k"], "header value k"),
-        n=_integer(meta["n"], "header value n"),
-        m=_integer(meta["m"], "header value m"),
+        variant=variant,
+        k=k,
+        n=n,
+        m=m,
         variables=tuple(binary_names),
         objective=objective,
         rows=tuple(rows),

@@ -14,6 +14,7 @@ from .core import (
     Instance,
     InfeasibleSolutionError,
     Solution,
+    ValidationReport,
     active_classes,
     bin_load,
     check_feasible,
@@ -47,8 +48,16 @@ class GapRecord:
     gap_percent: Fraction
 
 
-def feature_report(inst: Instance, sol: Solution) -> FeatureReport:
-    report = check_feasible(inst, sol)
+def feature_report(
+    inst: Instance, sol: Solution, report: ValidationReport | None = None
+) -> FeatureReport:
+    """Features of a feasible solution; raises if it is not feasible.
+
+    ``report`` is the caller's ``check_feasible(inst, sol)``, if it has
+    one; the solution is then not checked again.
+    """
+    if report is None:
+        report = check_feasible(inst, sol)
     if not report.ok:
         raise InfeasibleSolutionError(report)
     used = sol.bin_count
@@ -130,8 +139,9 @@ def report_row(
         "gap_ddag": "",
     }
     if sol is not None:
-        psi = solution_cost(inst, sol).total
-        features = feature_report(inst, sol)
+        feasible = check_feasible(inst, sol)
+        psi = solution_cost(inst, sol, feasible).total
+        features = feature_report(inst, sol, feasible)
         row.update(
             psi=str(psi),
             bins=str(features.bins_used),

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+import bpps.cli
+import bpps.core
+import bpps.report
 from bpps.core import Instance, validate_instance
 from bpps.gen import generate_benchmark
 
@@ -46,6 +49,20 @@ def random_instance(
         )
         if validate_instance(inst).ok:
             return inst
+
+
+def count_feasibility_checks(monkeypatch) -> list[int]:
+    """Count ``check_feasible`` calls in every module that calls it by name."""
+    calls = [0]
+    original = bpps.core.check_feasible
+
+    def counted(inst, sol):
+        calls[0] += 1
+        return original(inst, sol)
+
+    for module in (bpps.cli, bpps.core, bpps.report):
+        monkeypatch.setattr(module, "check_feasible", counted)
+    return calls
 
 
 @pytest.fixture

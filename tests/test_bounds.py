@@ -9,8 +9,8 @@ import pytest
 
 from bpps import bpp
 from bpps.bounds import (
-    ROW_CAPACITY,
-    ROW_MBI,
+    FAMILY_CAPACITY,
+    FAMILY_MBI,
     VARIANT_DAG,
     VARIANT_DDAG,
     VARIANT_N,
@@ -156,14 +156,14 @@ class TestVerifyFractional:
         fs = fractional_solution(fig1, VARIANT_DDAG, 8)
         bad = replace(fs, z_value=Fraction(3, 8))
         report = verify_fractional(fig1, bad)
-        assert ROW_CAPACITY in {v.kind for v in report.violations}
+        assert FAMILY_CAPACITY in {v.kind for v in report.violations}
 
     def test_variant_n_values_fail_min_bins_row(self, fig1):
         fs = fractional_solution(fig1, VARIANT_N, 8)
         masqueraded = replace(fs, variant=VARIANT_DDAG)
         report = verify_fractional(fig1, masqueraded)
-        assert ROW_MBI in {v.kind for v in report.violations}
-        mbi = [v for v in report.violations if v.kind == ROW_MBI][0]
+        assert FAMILY_MBI in {v.kind for v in report.violations}
+        mbi = [v for v in report.violations if v.kind == FAMILY_MBI][0]
         assert mbi.measured == 3 and mbi.allowed == 4
 
     def test_objective_matches_closed_forms(self, fig1):

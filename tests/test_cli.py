@@ -13,7 +13,7 @@ from bpps.cli import (
 from bpps.cha import BPP_MODES, k_upper
 from bpps.core import Instance, Solution
 from bpps.files import read_instance, write_instance, write_solution
-from conftest import fig1_instance
+from conftest import count_feasibility_checks, fig1_instance
 
 
 @pytest.fixture
@@ -68,6 +68,16 @@ def test_solve_writes_solution_then_verify(fig1_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "feasible" in out and "psi = 60" in out
     assert "fill_percent = 100 (100.00)" in out
+
+
+def test_verify_checks_the_solution_once(fig1_file, tmp_path, capsys, monkeypatch):
+    sol_path = tmp_path / "fig1_r10.sol"
+    assert main(["solve", "--instance", str(fig1_file), "--out", str(sol_path)]) == EXIT_OK
+    calls = count_feasibility_checks(monkeypatch)
+    argv = ["verify", "--instance", str(fig1_file), "--solution", str(sol_path)]
+    assert main(argv) == EXIT_OK
+    assert calls == [1]
+    assert "psi = 60 (bins 40 + setups 20)" in capsys.readouterr().out
 
 
 def test_verify_rejects_infeasible(fig1_file, tmp_path, capsys):

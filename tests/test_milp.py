@@ -199,6 +199,13 @@ class TestLpText:
         (" = 1\n", "\n", "row 'assign_1' lacks a trailing sense and rhs"),
         (" = 1\n", " = one\n", "rhs of row 'assign_1' is not an integer: 'one'"),
         (" k=8", " k=two", "header value k is not an integer: 'two'"),
+        ("variant=DDAG", "variant=FOO", "unknown variant 'FOO' in the header comment"),
+        (" k=8", " k=3", "Binaries lists 88 variables, not (n + m + 1) * k = 33"),
+        (
+            " assign_1: x_1_1 ",
+            " assign_1: x_99_1 ",
+            "row 'assign_1' names 'x_99_1', which Binaries does not list",
+        ),
     ],
     ids=[
         "row-name",
@@ -209,6 +216,9 @@ class TestLpText:
         "no-sense-and-rhs",
         "non-integer-rhs",
         "non-integer-header",
+        "unknown-variant",
+        "bin-count",
+        "unlisted-variable",
     ],
 )
 def test_parse_lp_rejects_malformed_text(fig1, old, new, message):

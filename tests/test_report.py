@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpps.core import Instance, Solution
+from bpps.core import InfeasibleSolutionError, Instance, Solution
 from bpps.exact import brute_force
 from bpps.files import write_instance, write_solution
 from bpps.report import (
@@ -14,8 +14,9 @@ from bpps.report import (
     gap,
     gap_record,
     render_csv,
+    report_row,
 )
-from conftest import fig1_instance
+from conftest import count_feasibility_checks, fig1_instance
 
 
 def test_features_of_tight_optimum(fig1):
@@ -94,3 +95,18 @@ def test_collect_report_over_directory(tmp_path):
     text = render_csv(rows, REPORT_COLUMNS)
     assert text.splitlines()[0] == ",".join(REPORT_COLUMNS)
     assert render_csv(collect_report(tmp_path), REPORT_COLUMNS) == text
+
+
+def test_report_row_checks_the_solution_once(fig1, monkeypatch):
+    calls = count_feasibility_checks(monkeypatch)
+    row = report_row("fig1", fig1, brute_force(fig1).solution)
+    assert calls == [1]
+    assert (row["psi"], row["bins"], row["fill_percent"]) == ("60", "4", "100")
+
+
+def test_infeasible_solution_raises_in_features_and_report_row(fig1):
+    bad = Solution((frozenset({1, 2}), frozenset({3, 4, 5, 6, 7, 8})))
+    with pytest.raises(InfeasibleSolutionError):
+        feature_report(fig1, bad)
+    with pytest.raises(InfeasibleSolutionError):
+        report_row("fig1", fig1, bad)
