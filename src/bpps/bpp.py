@@ -12,9 +12,11 @@ Fisher-Yates pass); results are therefore reproducible from the seed alone.
 
 from __future__ import annotations
 
+import math
 import random
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bounds import ceil_div
 from .core import BppsError
@@ -40,6 +42,29 @@ class NodeLimitExceeded(BppsError):
             f"node limit hit after {nodes} nodes "
             f"(incumbent {incumbent}, lower bound {lower_bound})"
         )
+
+
+def depth_first(
+    root: Iterator, node_limit: int, deadline: float = math.inf
+) -> tuple[int, bool]:
+    """Walk generator nodes depth-first; return ``(nodes, finished)``.
+
+    A node makes each child's move, yields the child's node and undoes the
+    move when resumed.  Every node entered counts, the root included.  The
+    walk stops once the count passes ``node_limit`` or, checked every 1,024
+    nodes, once ``time.monotonic()`` passes ``deadline``.
+    """
+    nodes, stack = 1, [root]
+    while stack and nodes <= node_limit:
+        for child in stack[-1]:
+            nodes += 1
+            if nodes % 1024 == 0 and time.monotonic() > deadline:
+                return nodes, False
+            stack.append(child)
+            break
+        else:
+            stack.pop()
+    return nodes, nodes <= node_limit
 
 
 @dataclass(frozen=True)
@@ -208,8 +233,6 @@ def _exact_search(
 
     loads: list[int] = []
     content: list[list[int]] = []
-    nodes = 0
-    aborted = False
 
     def lower_bound(idx: int) -> int:
         free = len(loads) * cap - sum(loads)
@@ -217,14 +240,8 @@ def _exact_search(
         extra = -(-overflow // cap) if overflow > 0 else 0
         return len(loads) + extra
 
-    def walk(idx: int) -> None:
-        nonlocal best_count, best_bins, nodes, aborted
-        if aborted:
-            return
-        nodes += 1
-        if nodes > node_limit:
-            aborted = True
-            return
+    def expand(idx: int) -> Iterator:
+        nonlocal best_count, best_bins
         if idx == n:
             if len(loads) < best_count:
                 best_count = len(loads)
@@ -242,17 +259,17 @@ def _exact_search(
             seen.add(load)
             loads[b] = load + w
             content[b].append(item)
-            walk(idx + 1)
+            yield expand(idx + 1)
             content[b].pop()
             loads[b] = load
         loads.append(w)
         content.append([item])
-        walk(idx + 1)
+        yield expand(idx + 1)
         content.pop()
         loads.pop()
 
-    walk(0)
-    if aborted:
+    nodes, finished = depth_first(expand(0), node_limit)
+    if not finished:
         # The volume bound is the only lower bound still valid for the
         # abandoned part of the tree.
         raise NodeLimitExceeded(best_count, bi.volume_bound(), nodes)

@@ -410,13 +410,6 @@ def main(argv: list[str] | None = None) -> int:
     except NodeLimitExceeded as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except RecursionError as exc:
-        # The recursive searches nest a frame or two per item.
-        print(
-            f"limit reached: search deeper than the recursion limit ({exc})",
-            file=sys.stderr,
-        )
-        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

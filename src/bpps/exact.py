@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bounds import ceil_div, gamma
+from .bpp import depth_first
 from .cha import BPP_HEURISTIC, cha
 from .core import (
     BppsError,
@@ -167,8 +169,6 @@ def branch_and_bound(
     sum_s = sum(gc * s for gc, s in zip(g, setup_w))
     sum_f = sum(gc * fc for gc, fc in zip(g, setup_f))
     committed_setup = 0
-    nodes = 0
-    aborted = False
     deadline = time.monotonic() + time_limit
 
     def bound() -> int:
@@ -183,15 +183,8 @@ def branch_and_bound(
         k_min = ceil_div(total_weight + sum_s, d)
         return r * max(len(loads), k_min) + sum_f
 
-    def walk(idx: int) -> None:
-        nonlocal best_cost, best_solution, nodes, aborted
-        nonlocal sum_s, sum_f, committed_setup
-        if aborted:
-            return
-        nodes += 1
-        if nodes > node_limit or (nodes % 1024 == 0 and time.monotonic() > deadline):
-            aborted = True
-            return
+    def expand(idx: int) -> Iterator:
+        nonlocal best_cost, best_solution, sum_s, sum_f, committed_setup
         if idx == n:
             cost = r * len(loads) + committed_setup
             if cost < best_cost:
@@ -204,9 +197,22 @@ def branch_and_bound(
         w = inst.weight(i)
         c = inst.item_class(i)
         s, fc = setup_w[c - 1], setup_f[c - 1]
-
-        def place(b: int, fresh: bool) -> None:
-            nonlocal sum_s, sum_f, committed_setup
+        seen: set[tuple[int, frozenset[int]]] = set()
+        # Every open bin with room, then one fresh bin.
+        for b in range(len(loads) + 1):
+            if b < len(loads):
+                fresh = c not in actives[b]
+                if loads[b] + w + (s if fresh else 0) > d:
+                    continue
+                sig = (loads[b], frozenset(actives[b]))
+                if sig in seen:
+                    continue
+                seen.add(sig)
+            else:
+                fresh = True
+                loads.append(0)
+                actives.append(set())
+                content.append([])
             extra = s if fresh else 0
             loads[b] += w + extra
             content[b].append(i)
@@ -217,7 +223,7 @@ def branch_and_bound(
                 if act_count[c] > g[c - 1]:
                     sum_s += s
                     sum_f += fc
-            walk(idx + 1)
+            yield expand(idx + 1)
             if fresh:
                 if act_count[c] > g[c - 1]:
                     sum_s -= s
@@ -227,29 +233,13 @@ def branch_and_bound(
                 actives[b].discard(c)
             content[b].pop()
             loads[b] -= w + extra
-
-        seen: set[tuple[int, frozenset[int]]] = set()
-        for b in range(len(loads)):
-            fresh = c not in actives[b]
-            extra = s if fresh else 0
-            if loads[b] + w + extra > d:
-                continue
-            sig = (loads[b], frozenset(actives[b]))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            place(b, fresh)
-        loads.append(0)
-        actives.append(set())
-        content.append([])
-        place(len(loads) - 1, True)
         content.pop()
         actives.pop()
         loads.pop()
 
     root_lb = bound()
-    walk(0)
-    if aborted:
+    nodes, finished = depth_first(expand(0), node_limit, deadline)
+    if not finished:
         return ExactResult(
             best_cost, best_solution, STATUS_LIMIT, min(root_lb, best_cost), nodes
         )

@@ -243,3 +243,11 @@ class TestExactBeta:
             exact_beta(bi, node_limit=3)
         assert info.value.incumbent >= bi.volume_bound()
         assert info.value.lower_bound <= info.value.incumbent
+
+    def test_search_deeper_than_the_recursion_limit_hits_the_node_limit(self):
+        # 1,200 items deep: the search keeps its own stack, not Python's.
+        bi = BppInstance((7,) * 1000 + (5,) * 200, 20)
+        with pytest.raises(NodeLimitExceeded) as info:
+            exact_beta(bi, node_limit=5_000)
+        assert info.value.nodes == 5_001
+        assert (info.value.lower_bound, info.value.incumbent) == (400, 500)

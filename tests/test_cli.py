@@ -175,24 +175,24 @@ def test_gen_benchmark_smoke(tmp_path, capsys):
     assert len(files) == 480
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["cha", "--bpp-mode", "exact"],
-        ["emit-model", "--variant", "star", "--exact-kbar", "--out", "model.lp"],
-    ],
-    ids=["cha-exact", "emit-model-exact-kbar"],
-)
-def test_search_past_recursion_limit_exits_limit(tmp_path, capsys, args):
-    # 1,200 items of weight 7 at residual capacity 20: the exact per-class
-    # search nests deeper than Python's recursion limit.
+@pytest.fixture
+def deep_file(tmp_path):
+    # 1,200 items of weight 7 at residual capacity 20: both exact searches
+    # go 1,200 levels deep, past Python's recursion limit.
     path = tmp_path / "deep.txt"
     write_instance(Instance((7,) * 1200, 21, (1,) * 1200, (1,), (1,), 10), path)
-    args = [str(tmp_path / a) if a == "model.lp" else a for a in args]
-    code = main([args[0], "--instance", str(path), *args[1:]])
+    return path
+
+
+def test_bnb_past_recursion_depth_exits_limit_with_an_answer(deep_file, capsys):
+    code = main(
+        ["solve", "--method", "bnb", "--node-limit", "3000", "--instance", str(deep_file)]
+    )
     assert code == EXIT_LIMIT
     captured = capsys.readouterr()
-    assert captured.err.startswith("limit reached: ")
+    assert "status = limit-reached\n" in captured.out
+    assert "psi = 6600\n" in captured.out
+    assert "nodes = 3001\n" in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 
