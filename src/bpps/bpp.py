@@ -216,16 +216,17 @@ def _exact_search(
 
     Items are placed in non-increasing weight order into every open bin
     they fit (skipping bins with duplicate loads, which lead to symmetric
-    subtrees) or into a single fresh bin.  A node is pruned when
-    ``open bins + ceil((remaining weight - free space) / capacity)``
-    reaches the incumbent.
+    subtrees) or into a single fresh bin.  Every packing needs at least
+    ``floor`` bins, the larger of the volume bound and the cardinality
+    bound ``ceil(n / (capacity // smallest weight))``.  A node is pruned
+    when ``max(open bins, floor)`` reaches the incumbent.  (Without the
+    cardinality term this equals open bins plus the bins that the unplaced
+    weight needs beyond the free space.)
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]
     n, cap = bi.n, bi.capacity
-    suffix = [0] * (n + 1)
-    for idx in range(n - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] + weights[idx]
+    floor = max(ceil_div(n, cap // weights[-1]), bi.volume_bound())
 
     start = fit_heuristic(bi, RULE_FIRST_FIT, order)
     best_count = start.bin_count
@@ -234,12 +235,6 @@ def _exact_search(
     loads: list[int] = []
     content: list[list[int]] = []
 
-    def lower_bound(idx: int) -> int:
-        free = len(loads) * cap - sum(loads)
-        overflow = suffix[idx] - free
-        extra = -(-overflow // cap) if overflow > 0 else 0
-        return len(loads) + extra
-
     def expand(idx: int) -> Iterator:
         nonlocal best_count, best_bins
         if idx == n:
@@ -247,7 +242,7 @@ def _exact_search(
                 best_count = len(loads)
                 best_bins = [list(b) for b in content]
             return
-        if lower_bound(idx) >= best_count:
+        if max(len(loads), floor) >= best_count:
             return
         item = order[idx]
         w = weights[idx]
@@ -270,9 +265,9 @@ def _exact_search(
 
     nodes, finished = depth_first(expand(0), node_limit)
     if not finished:
-        # The volume bound is the only lower bound still valid for the
+        # The root bound is the only lower bound still valid for the
         # abandoned part of the tree.
-        raise NodeLimitExceeded(best_count, bi.volume_bound(), nodes)
+        raise NodeLimitExceeded(best_count, floor, nodes)
     packing = BppPacking(tuple(tuple(sorted(b)) for b in best_bins))
     return best_count, packing, nodes
 

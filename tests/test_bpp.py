@@ -251,3 +251,21 @@ class TestExactBeta:
             exact_beta(bi, node_limit=5_000)
         assert info.value.nodes == 5_001
         assert (info.value.lower_bound, info.value.incumbent) == (400, 500)
+
+    @pytest.mark.parametrize(
+        "weights, capacity, beta",
+        [((7,) * 1200, 20, 600), ((5,) * 300, 11, 150)],
+        ids=["1200x7-cap20", "300x5-cap11"],
+    )
+    def test_cardinality_bound_proves_at_the_root(self, weights, capacity, beta):
+        # Two items per bin at most, so the volume bound (420 and 137) is
+        # not the answer; the cardinality bound is.
+        bi = BppInstance(weights, capacity)
+        assert beta > bi.volume_bound()
+        assert exact_beta(bi, node_limit=1) == beta
+        # Two items that fit no partner need beta + 2 bins; the root proves
+        # beta + 1 when the limit stops the search.
+        lonely = (capacity - weights[0] + 1,) * 2
+        with pytest.raises(NodeLimitExceeded) as info:
+            exact_beta(BppInstance(weights + lonely, capacity), node_limit=1)
+        assert (info.value.lower_bound, info.value.incumbent) == (beta + 1, beta + 2)

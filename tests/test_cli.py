@@ -196,6 +196,15 @@ def test_bnb_past_recursion_depth_exits_limit_with_an_answer(deep_file, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
+    # At most two items of weight 7 fit in 20, so 600 bins are needed and
+    # first fit already uses 600: the search stops at its root.
+    assert main(["cha", "--bpp-mode", "exact", "--instance", str(deep_file)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "k_upper = 600\n" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "args",
     [
