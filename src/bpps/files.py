@@ -135,12 +135,17 @@ def parse_solution(text: str) -> tuple[str, Solution]:
         bin_lines = lines[2:]
         if len(bin_lines) != count:
             raise FileFormatError(f"expected {count} bin lines, got {len(bin_lines)}")
-        bins = tuple(
-            frozenset(int(v) for v in line.split()) for line in bin_lines
-        )
+        bins = []
+        for b, line in enumerate(bin_lines, start=1):
+            items = [int(v) for v in line.split()]
+            block = frozenset(items)
+            if len(block) < len(items):
+                twice = next(i for i in items if items.count(i) > 1)
+                raise FileFormatError(f"bin {b} lists item {twice} more than once")
+            bins.append(block)
     except (ValueError, IndexError) as exc:
         raise FileFormatError(f"malformed solution file: {exc}") from exc
-    return name, Solution(bins)
+    return name, Solution(tuple(bins))
 
 
 def read_solution(source: str | Path) -> tuple[str, Solution]:

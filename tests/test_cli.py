@@ -89,6 +89,16 @@ def test_verify_rejects_infeasible(fig1_file, tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_verify_rejects_an_item_listed_twice_in_a_bin(fig1_file, tmp_path, capsys):
+    # Read as a set, bin 1 would be {1, 5} and the packing feasible.
+    sol_path = tmp_path / "twice.sol"
+    sol_path.write_text("BPPS-SOL 1\nfig1_r10 4\n1 5 5\n2 6\n3 7\n4 8\n", encoding="ascii")
+    code = main(["verify", "--instance", str(fig1_file), "--solution", str(sol_path)])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err == "file error: bin 1 lists item 5 more than once\n"
+
+
 def test_cha_output(fig1_file, capsys):
     assert main(["cha", "--instance", str(fig1_file)]) == EXIT_OK
     out = capsys.readouterr().out
