@@ -3,7 +3,10 @@
 Used to bound, per class, how many bins the class needs once its setup
 weight is subtracted from the capacity: fit heuristics (next/first/best
 fit) run under many item orders give an upper bound quickly, and a small
-branch-and-bound gives the exact optimum at desk scale.
+branch-and-bound gives the exact optimum at desk scale.  That search and
+the BPPS branch-and-bound in :mod:`bpps.exact` both run on
+:func:`depth_first`, an explicit-stack driver that owns the node count and
+the limits.
 
 Randomized orders come from Python's ``random.Random`` (Mersenne Twister)
 seeded explicitly, with permutations drawn by ``random.shuffle`` (a
@@ -219,9 +222,8 @@ def _exact_search(
     subtrees) or into a single fresh bin.  Every packing needs at least
     ``floor`` bins, the larger of the volume bound and the cardinality
     bound ``ceil(n / (capacity // smallest weight))``.  A node is pruned
-    when ``max(open bins, floor)`` reaches the incumbent.  (Without the
-    cardinality term this equals open bins plus the bins that the unplaced
-    weight needs beyond the free space.)
+    when ``max(open bins, floor)`` reaches the incumbent.  Each node is an
+    ``expand`` generator driven by :func:`depth_first`.
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]

@@ -5,7 +5,10 @@ restricted-growth strings) and keeps the cheapest feasible one, making it
 an oracle that is independent of any bounding machinery.
 ``branch_and_bound`` searches the same space with the closed-form
 relaxation value as node bound and a constructive-heuristic incumbent,
-reaching some way past brute-force sizes.
+reaching some way past brute-force sizes.  It runs on
+:func:`bpps.bpp.depth_first`, which keeps its own stack, so no instance is
+too deep for it.  ``brute_force`` stays a plain recursion that shares no
+code with the search it checks; its item cap keeps it shallow.
 """
 
 from __future__ import annotations
@@ -146,8 +149,10 @@ def branch_and_bound(
     Items are assigned in non-increasing weight order to every open bin
     with room (skipping bins whose load and active-class set duplicate an
     earlier bin, which lead to symmetric subtrees) or to one fresh bin.
-    The incumbent starts from the constructive heuristic.  When a limit is
-    hit the incumbent and the root bound are returned with status
+    The incumbent starts from the constructive heuristic.  Each node is an
+    ``expand`` generator driven by :func:`bpps.bpp.depth_first`, which
+    counts the nodes and applies both limits.  When a limit is hit the
+    incumbent and the root bound are returned with status
     ``limit-reached``.
     """
     require_valid(inst, override=override_validation)

@@ -187,8 +187,8 @@ def test_gen_benchmark_smoke(tmp_path, capsys):
 
 @pytest.fixture
 def deep_file(tmp_path):
-    # 1,200 items of weight 7 at residual capacity 20: both exact searches
-    # go 1,200 levels deep, past Python's recursion limit.
+    # 1,200 items of weight 7 at residual capacity 20: a search that nested
+    # a Python frame per item would pass the recursion limit.
     path = tmp_path / "deep.txt"
     write_instance(Instance((7,) * 1200, 21, (1,) * 1200, (1,), (1,), 10), path)
     return path

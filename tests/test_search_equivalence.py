@@ -259,15 +259,22 @@ def bnb_instances() -> list[Instance]:
 
 
 def class_instances() -> list[BppInstance]:
-    """Uniform weights, and weights in (cap/3, cap/2] where at most two fit
-    a bin, so that the cardinality bound exceeds the volume bound."""
     rng = random.Random(23)
     out = []
     for k in range(300):
         cap = rng.randint(4, 60)
         n = rng.randint(1, 22)
-        low, high = (cap // 3 + 1, max(cap // 2, cap // 3 + 1)) if k % 2 else (1, cap)
-        out.append(BppInstance(tuple(rng.randint(low, high) for _ in range(n)), cap))
+        if k % 3 == 0:
+            weights = [rng.randint(1, cap) for _ in range(n)]
+        else:
+            # At most two of these fit a bin, so the cardinality bound
+            # exceeds the volume bound.
+            low = cap // 3 + 1
+            weights = [rng.randint(low, max(cap // 2, low)) for _ in range(n)]
+            if k % 3 == 2:
+                # Two items that fit no partner keep the root from closing.
+                weights += [cap - low + 1] * 2
+        out.append(BppInstance(tuple(weights), cap))
     return out
 
 
@@ -295,26 +302,29 @@ def test_branch_and_bound_time_limit_checked_every_1024_nodes():
 
 @pytest.mark.parametrize("node_limit", NODE_LIMITS)
 def test_class_search_matches_the_recursive_search(node_limit):
-    card_above_volume = 0
+    seen = {"exact": 0, "finished": 0, "new-finished": 0, "stopped": 0}
     for bi in class_instances():
         want = outcome(ref_exact_search, bi, node_limit)
         got = outcome(_exact_search, bi, node_limit)
         card = ceil_div(bi.n, bi.capacity // min(bi.weights))
         if card <= bi.volume_bound():
             assert got == want
-            continue
-        card_above_volume += 1
-        if isinstance(want[1], BppPacking):
+            seen["exact"] += 1
+        elif isinstance(want[1], BppPacking):
             assert got[:2] == want[:2]
             assert got[2] <= want[2]
+            seen["finished"] += 1
         elif isinstance(got[1], BppPacking):
             # Only the new search finished: its optimum lies in the bracket
             # the reference stopped with.
             assert want[2] <= got[0] <= want[1]
+            seen["new-finished"] += 1
         else:
             # Both stopped: the stronger bound explores the same tree minus
             # pruned subtrees, so it has seen at least the same incumbents.
             assert got[1] <= want[1]
             assert got[2] == max(card, bi.volume_bound())
             assert got[3] == want[3] == node_limit + 1
-    assert card_above_volume > 50
+            seen["stopped"] += 1
+    assert seen["exact"] and seen["stopped"], seen
+    assert node_limit < 50 or all(seen.values()), seen
