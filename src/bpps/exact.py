@@ -207,18 +207,18 @@ def branch_and_bound(
         for b in range(len(loads) + 1):
             if b < len(loads):
                 fresh = c not in actives[b]
-                if loads[b] + w + (s if fresh else 0) > d:
+                extra = s if fresh else 0
+                if loads[b] + w + extra > d:
                     continue
                 sig = (loads[b], frozenset(actives[b]))
                 if sig in seen:
                     continue
                 seen.add(sig)
             else:
-                fresh = True
+                fresh, extra = True, s
                 loads.append(0)
                 actives.append(set())
                 content.append([])
-            extra = s if fresh else 0
             loads[b] += w + extra
             content[b].append(i)
             if fresh:
