@@ -5,7 +5,7 @@ weight is subtracted from the capacity: fit heuristics (next/first/best
 fit) run under many item orders give an upper bound quickly, and a small
 branch-and-bound gives the exact optimum at desk scale.  That search and
 the BPPS branch-and-bound in :mod:`bpps.exact` both run on
-:func:`depth_first`, an explicit-stack driver that owns the node count and
+:func:`depth_first`, an explicit-stack walk that owns the node count and
 the limits.
 
 Randomized orders come from Python's ``random.Random`` (Mersenne Twister)
