@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bpp
-from .core import (
-    Instance,
-    Solution,
-    TrivialInstanceError,
-    require_valid,
-)
+from .core import Instance, Solution, bin_load, require_valid
 
 BPP_EXACT = "exact"
 BPP_HEURISTIC = "heuristic"
@@ -81,15 +76,19 @@ def _solve(
 def _class_packings(
     inst: Instance,
     mode: str,
+    override_validation: bool,
     node_limit: int,
     perm_count: int,
     seed: int,
 ) -> list[bpp.BppPacking]:
     """Step 1, shared by :func:`cha` and :func:`k_upper`.
 
-    Each class is packed alone at capacity ``d - s_c``, class ``c`` with
-    seed ``seed + c``.
+    Checks the mode and the instance, then packs each class alone at
+    capacity ``d - s_c``, class ``c`` with seed ``seed + c``.
     """
+    if mode not in BPP_MODES:
+        raise ValueError(f"unknown bpp mode {mode!r}")
+    require_valid(inst, override=override_validation)
     return [
         _solve(class_bpp(inst, c), mode, node_limit, perm_count, seed + c)
         for c in inst.classes
@@ -109,102 +108,71 @@ def cha(
 
     ``bpp_mode`` picks how the inner packing subproblems are solved; in
     exact mode a node-limit overrun propagates as
-    :class:`~bpps.bpp.NodeLimitExceeded`.  Step 3 scans candidate classes
-    in increasing index order and takes the first bin with room, so the
-    outcome is deterministic.
+    :class:`~bpps.bpp.NodeLimitExceeded`.  Step 3 scans the bins of the
+    multi-bin classes in class order and takes the first with room, so
+    the outcome is deterministic.  A trivial instance, accepted only with
+    ``override_validation``, ends ``step3-unmerged`` with every item in
+    one bin, which is optimal.
     """
-    if bpp_mode not in BPP_MODES:
-        raise ValueError(f"unknown bpp mode {bpp_mode!r}")
-    require_valid(inst, override=override_validation)
-
-    r = inst.bin_cost
-    f = inst.setup_costs
-
-    # Step 1: pack every class alone at capacity d - s_c.
-    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
-    beta = [p.bin_count for p in packings]
-    class_bins: list[list[frozenset[int]]] = []
-    for c, packing in zip(inst.classes, packings):
-        items = inst.items_of_class(c)
-        class_bins.append(
-            [frozenset(items[local - 1] for local in b) for b in packing.bins]
-        )
-    setup_term = sum(b * fc for b, fc in zip(beta, f))
+    packings = _class_packings(
+        inst, bpp_mode, override_validation, node_limit, perm_count, seed
+    )
+    beta = tuple(p.bin_count for p in packings)
     single = frozenset(c for c in inst.classes if beta[c - 1] == 1)
     outside = [c for c in inst.classes if c not in single]
-    outside_term = sum(beta[c - 1] for c in outside)
 
-    def trace(termination: str, delta: int | None, merge: int | None, psi: int):
-        return ChaTrace(
-            termination=termination,
-            beta=tuple(beta),
-            single_bin_classes=single,
-            delta=delta,
-            merge_class=merge,
-            psi_bar=psi,
-        )
-
-    if not single:
-        bins = [b for per_class in class_bins for b in per_class]
-        psi = setup_term + r * sum(beta)
-        return Solution(tuple(bins)), trace(TERM_STEP1, None, None, psi)
+    # Step 1 packed every class alone; the multi-bin classes keep those bins.
+    bins = [
+        frozenset(inst.items_of_class(c)[local - 1] for local in b)
+        for c in outside
+        for b in packings[c - 1].bins
+    ]
+    termination, delta, merge_class = TERM_STEP1, None, None
+    blocks: list[frozenset[int]] = []
 
     # Step 2: pack the one-bin classes as indivisible blocks of weight
     # (class weight + setup weight) at full capacity.
-    single_sorted = sorted(single)
-    block_weights = tuple(
-        inst.class_weight(c) + inst.setup_weights[c - 1] for c in single_sorted
-    )
-    agg = bpp.BppInstance(weights=block_weights, capacity=inst.capacity)
-    agg_packing = _solve(agg, bpp_mode, node_limit, perm_count, seed)
-    delta = agg_packing.bin_count
-    merged_bins = [
-        frozenset(
-            i
-            for local in b
-            for i in inst.items_of_class(single_sorted[local - 1])
+    if single:
+        single_sorted = sorted(single)
+        agg = bpp.BppInstance(
+            weights=tuple(
+                inst.class_weight(c) + inst.setup_weights[c - 1]
+                for c in single_sorted
+            ),
+            capacity=inst.capacity,
         )
-        for b in agg_packing.bins
-    ]
-    outside_bins = [b for c in outside for b in class_bins[c - 1]]
+        agg_packing = _solve(agg, bpp_mode, node_limit, perm_count, seed)
+        termination, delta = TERM_STEP2, agg_packing.bin_count
+        blocks = [
+            frozenset(
+                i
+                for local in b
+                for i in inst.items_of_class(single_sorted[local - 1])
+            )
+            for b in agg_packing.bins
+        ]
 
-    if delta >= 2:
-        psi = setup_term + r * (outside_term + delta)
-        return (
-            Solution(tuple(outside_bins + merged_bins)),
-            trace(TERM_STEP2, delta, None, psi),
-        )
+    # Step 3: all one-bin classes share a single block; put it into the
+    # first bin of a multi-bin class with room for it.  That class is not
+    # in the block, so the merged bin's load is the host's load plus the
+    # block's weight and setups.
+    if delta == 1:
+        termination = TERM_STEP3_UNMERGED
+        for j, b in enumerate(bins):
+            if bin_load(inst, b | blocks[0]) <= inst.capacity:
+                bins[j] = b | blocks.pop()
+                termination = TERM_STEP3_MERGED
+                merge_class = inst.item_class(min(b))
+                break
 
-    # Step 3: all one-bin classes share a single bin; try to fit that
-    # combined block into the spare room of some other class's bin.
-    if not outside:
-        raise TrivialInstanceError(
-            "all items fit a single bin; nothing to merge into"
-        )
-    block = merged_bins[0]
-    block_weight = sum(block_weights)
-    for cbar in outside:
-        residual_cap = inst.capacity - inst.setup_weights[cbar - 1]
-        for b_idx, items in enumerate(class_bins[cbar - 1]):
-            load = sum(inst.weight(i) for i in items)
-            if load + block_weight <= residual_cap:
-                bins = []
-                for c in outside:
-                    for j, bset in enumerate(class_bins[c - 1]):
-                        if c == cbar and j == b_idx:
-                            bins.append(bset | block)
-                        else:
-                            bins.append(bset)
-                psi = setup_term + r * outside_term
-                return (
-                    Solution(tuple(bins)),
-                    trace(TERM_STEP3_MERGED, delta, cbar, psi),
-                )
-    psi = setup_term + r * (outside_term + 1)
-    return (
-        Solution(tuple(outside_bins + merged_bins)),
-        trace(TERM_STEP3_UNMERGED, delta, None, psi),
-    )
+    # Each class is active in beta_c bins.  Besides the multi-bin classes'
+    # bins, the block bins still standing cost r each: delta after step 2,
+    # one if unmerged, none if merged or in step 1.
+    setup_cost = sum(b * fc for b, fc in zip(beta, inst.setup_costs))
+    outside_bins = sum(beta[c - 1] for c in outside)
+    psi_bar = setup_cost + inst.bin_cost * (outside_bins + len(blocks))
+    trace = ChaTrace(termination, beta, single, delta, merge_class, psi_bar)
+    return Solution(tuple(bins + blocks)), trace
 
 
 def k_upper(
@@ -221,8 +189,7 @@ def k_upper(
     Sum over classes of the per-class bin count at residual capacity
     ``d - s_c``, computed exactly or heuristically.
     """
-    if bpp_mode not in BPP_MODES:
-        raise ValueError(f"unknown bpp mode {bpp_mode!r}")
-    require_valid(inst, override=override_validation)
-    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
+    packings = _class_packings(
+        inst, bpp_mode, override_validation, node_limit, perm_count, seed
+    )
     return sum(p.bin_count for p in packings)

@@ -21,7 +21,6 @@ from .core import (
     InfeasibleSolutionError,
     InvalidInstanceError,
     Solution,
-    TrivialInstanceError,
     check_feasible,
     solution_cost,
 )
@@ -399,12 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, LpFormatError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        InvalidInstanceError,
-        InfeasibleSolutionError,
-        SolutionImportError,
-        TrivialInstanceError,
-    ) as exc:
+    except (InvalidInstanceError, InfeasibleSolutionError, SolutionImportError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NodeLimitExceeded as exc:

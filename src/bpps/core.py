@@ -46,10 +46,6 @@ class InfeasibleSolutionError(BppsError):
         super().__init__(f"infeasible solution: {lines}")
 
 
-class TrivialInstanceError(BppsError):
-    """All items (plus all setups) fit into a single bin."""
-
-
 # Violation kinds used by validate_instance / check_feasible.
 V_ITEM_WEIGHT = "item-weight"
 V_CAPACITY_VALUE = "capacity-value"

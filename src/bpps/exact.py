@@ -20,15 +20,7 @@ from typing import Iterator
 from .bounds import ceil_div, gamma
 from .bpp import depth_first
 from .cha import BPP_HEURISTIC, cha
-from .core import (
-    BppsError,
-    Instance,
-    Solution,
-    TrivialInstanceError,
-    check_feasible,
-    require_valid,
-    solution_cost,
-)
+from .core import BppsError, Instance, Solution, require_valid
 
 STATUS_OPTIMAL = "optimal"
 STATUS_LIMIT = "limit-reached"
@@ -126,17 +118,6 @@ def brute_force(
     return ExactResult(best_cost, solution, STATUS_OPTIMAL, best_cost, nodes)
 
 
-def _initial_incumbent(inst: Instance, override: bool) -> tuple[int, Solution]:
-    try:
-        solution, trace = cha(inst, BPP_HEURISTIC, override_validation=override)
-        return trace.psi_bar, solution
-    except TrivialInstanceError:
-        single = Solution((frozenset(inst.items),))
-        if check_feasible(inst, single).ok:
-            return solution_cost(inst, single).total, single
-        raise
-
-
 def branch_and_bound(
     inst: Instance,
     node_limit: int = DEFAULT_NODE_LIMIT,
@@ -149,13 +130,19 @@ def branch_and_bound(
     Items are assigned in non-increasing weight order to every open bin
     with room (skipping bins whose load and active-class set duplicate an
     earlier bin, which lead to symmetric subtrees) or to one fresh bin.
-    The incumbent starts from the constructive heuristic.  Each node is an
-    ``expand`` generator driven by :func:`bpps.bpp.depth_first`, which
-    counts the nodes and applies both limits.  When a limit is hit the
+    The incumbent starts from the constructive heuristic, which also
+    validates the instance; on a trivial instance (allowed only with
+    ``override_validation``) that is the optimal one-bin packing.  Each
+    node is an ``expand`` generator driven by
+    :func:`bpps.bpp.depth_first`, which counts the nodes and applies both
+    limits.  When a limit is hit the
     incumbent and the root bound are returned with status
     ``limit-reached``.
     """
-    require_valid(inst, override=override_validation)
+    best_solution, trace = cha(
+        inst, BPP_HEURISTIC, override_validation=override_validation
+    )
+    best_cost = trace.psi_bar
     d = inst.capacity
     r = inst.bin_cost
     n, m = inst.n, inst.m
@@ -163,7 +150,6 @@ def branch_and_bound(
     g = gamma(inst)
     total_weight = inst.total_weight
 
-    best_cost, best_solution = _initial_incumbent(inst, override_validation)
     order = sorted(inst.items, key=lambda i: (-inst.weight(i), i))
 
     loads: list[int] = []

@@ -18,12 +18,14 @@ from bpps.cha import (
     k_upper,
 )
 from bpps.core import (
+    V_TRIVIAL,
     Instance,
     InvalidInstanceError,
-    TrivialInstanceError,
     check_feasible,
     solution_cost,
+    validate_instance,
 )
+from bpps.exact import STATUS_OPTIMAL, branch_and_bound, brute_force
 from bpps.gen import worst_case
 from conftest import random_instance
 
@@ -104,8 +106,36 @@ class TestTerminations:
         )
         with pytest.raises(InvalidInstanceError):
             cha(inst, BPP_EXACT)
-        with pytest.raises(TrivialInstanceError):
-            cha(inst, BPP_EXACT, override_validation=True)
+
+    def test_trivial_instance_ends_in_one_optimal_bin(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            n = rng.randint(m, 8)
+            labels = list(range(1, m + 1)) + [rng.randint(1, m) for _ in range(n - m)]
+            rng.shuffle(labels)
+            weights = [rng.randint(1, 5) for _ in range(n)]
+            setups = [rng.randint(0, 3) for _ in range(m)]
+            inst = Instance(
+                weights=tuple(weights),
+                capacity=sum(weights) + sum(setups) + rng.randint(0, 4),
+                class_of=tuple(labels),
+                setup_weights=tuple(setups),
+                setup_costs=tuple(rng.randint(0, 5) for _ in range(m)),
+                bin_cost=rng.randint(1, 10),
+            )
+            assert {v.kind for v in validate_instance(inst).violations} == {V_TRIVIAL}
+            oracle = brute_force(inst, override_validation=True)
+            assert oracle.psi == inst.bin_cost + sum(inst.setup_costs)
+            for mode in (BPP_EXACT, BPP_HEURISTIC):
+                solution, trace = cha(inst, mode, override_validation=True)
+                assert trace.termination == TERM_STEP3_UNMERGED
+                assert solution.bins == (frozenset(inst.items),)
+                assert trace.psi_bar == oracle.psi
+            result = branch_and_bound(inst, override_validation=True)
+            assert result.status == STATUS_OPTIMAL
+            assert result.solution.bin_count == 1
+            assert result.psi == oracle.psi
 
 
 class TestProperties:

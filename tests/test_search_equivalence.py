@@ -27,6 +27,7 @@ from bpps.bpp import (
     decreasing_order,
     fit_heuristic,
 )
+from bpps.cha import BPP_HEURISTIC, cha
 from bpps.core import Instance, Solution, require_valid
 from bpps.exact import (
     DEFAULT_NODE_LIMIT,
@@ -34,7 +35,6 @@ from bpps.exact import (
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     ExactResult,
-    _initial_incumbent,
     branch_and_bound,
 )
 from bpps.gen import COST_WITH, GeneratorConfig, generate
@@ -143,7 +143,10 @@ def ref_branch_and_bound(
     g = gamma(inst)
     total_weight = inst.total_weight
 
-    best_cost, best_solution = _initial_incumbent(inst, override_validation)
+    best_solution, trace = cha(
+        inst, BPP_HEURISTIC, override_validation=override_validation
+    )
+    best_cost = trace.psi_bar
     order = sorted(inst.items, key=lambda i: (-inst.weight(i), i))
 
     loads: list[int] = []
