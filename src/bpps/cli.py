@@ -100,9 +100,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             seed=args.seed,
             free_form=args.free_form,
         )
+        outcome = gen.generate_verbose(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    outcome = gen.generate_verbose(cfg)
     text = render_instance(outcome.instance, _gen_comments(cfg, outcome))
     _write_or_print(text, args.out, gen.instance_name(cfg))
     return EXIT_OK

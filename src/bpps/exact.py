@@ -18,14 +18,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bounds import ceil_div, gamma
-from .bpp import depth_first
+from .bpp import DEFAULT_NODE_LIMIT, depth_first
 from .cha import BPP_HEURISTIC, cha
 from .core import BppsError, Instance, Solution, require_valid
 
 STATUS_OPTIMAL = "optimal"
 STATUS_LIMIT = "limit-reached"
 
-DEFAULT_NODE_LIMIT = 10**7
 DEFAULT_TIME_LIMIT = 60.0
 BRUTE_FORCE_MAX_ITEMS = 12
 

@@ -65,7 +65,8 @@ class GeneratorConfig:
     Grid membership of ``n``/``m``/``d`` is enforced unless ``free_form``
     is set; the named item/setup size categories apply either way, so the
     feasibility condition (item fraction + setup fraction <= 1) always
-    holds.
+    holds.  ``d`` must leave a positive integer item weight and an
+    integer setup weight in the scaled ranges.
     """
 
     n: int
@@ -93,6 +94,12 @@ class GeneratorConfig:
                 raise ValueError(f"m = {self.m} outside the grid {GRID_M}")
             if self.d not in GRID_D:
                 raise ValueError(f"d = {self.d} outside the grid {GRID_D}")
+        w_lo, w_hi = self.weight_interval()
+        if not 1 <= w_lo <= w_hi:
+            raise ValueError(f"d = {self.d} leaves no item weight in [{w_lo}, {w_hi}]")
+        s_lo, s_hi = self.setup_interval()
+        if s_lo > s_hi:
+            raise ValueError(f"d = {self.d} leaves no setup weight in [{s_lo}, {s_hi}]")
 
     def weight_interval(self) -> tuple[int, int]:
         lo, hi = ITEM_RANGES[self.item_size]
@@ -123,7 +130,9 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
     which keeps the assignment uniform conditioned on all classes being
     nonempty.  In the unlikely event the drawn instance is trivial (it
     would fit one bin entirely), everything is redrawn from the
-    continuing streams.
+    continuing streams.  A config whose redraws run out (labels that keep
+    missing a class, or draws that always fit one bin) raises
+    ``ValueError``.
     """
     rng_labels = _stream(cfg.seed, _FIELD_LABELS)
     rng_weights = _stream(cfg.seed, _FIELD_WEIGHTS)
@@ -131,8 +140,6 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
     rng_costs = _stream(cfg.seed, _FIELD_COSTS)
     w_lo, w_hi = cfg.weight_interval()
     s_lo, s_hi = cfg.setup_interval()
-    if w_lo < 1:
-        w_lo = 1
     class_redraws = 0
     trivial_redraws = 0
     for _ in range(_MAX_REDRAWS):
@@ -144,7 +151,10 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
                 break
             class_redraws += 1
         if labels is None:
-            raise RuntimeError("class assignment kept missing classes")
+            raise ValueError(
+                f"class labels missed some of the {cfg.m} classes"
+                f" in {_MAX_REDRAWS} draws of {cfg.n} items"
+            )
         weights = [rng_weights.randint(w_lo, w_hi) for _ in range(cfg.n)]
         setups = [rng_setups.randint(s_lo, s_hi) for _ in range(cfg.m)]
         if cfg.cost_mode == COST_WITH:
@@ -167,7 +177,9 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
                 raise RuntimeError(f"generator produced invalid data: {report}")
             return GenOutcome(inst, class_redraws, trivial_redraws)
         trivial_redraws += 1
-    raise RuntimeError("kept drawing trivial instances")
+    raise ValueError(
+        f"every draw fits one bin of capacity {cfg.d} ({_MAX_REDRAWS} draws)"
+    )
 
 
 def generate(cfg: GeneratorConfig) -> Instance:

@@ -121,6 +121,18 @@ def test_cha_k_upper_matches_k_upper(tmp_path, capsys, mode):
     assert f"k_upper = {expected}" in lines
 
 
+def test_cha_allow_trivial_packs_one_bin(tmp_path, capsys):
+    path = tmp_path / "trivial.txt"
+    write_instance(Instance((1, 2, 3), 20, (1, 2, 2), (2, 1), (3, 4), 10), path)
+    assert main(["cha", "--instance", str(path)]) == EXIT_INFEASIBLE
+    capsys.readouterr()
+    assert main(["cha", "--allow-trivial", "--instance", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "termination = step3-unmerged\n" in out
+    assert "psi_bar = 17\n" in out
+    assert "bins:\n  1: 1 2 3\n" in out
+
+
 def test_emit_model_star(fig1_file, tmp_path, capsys):
     out_path = tmp_path / "fig1.lp"
     assert main(
@@ -222,8 +234,19 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         ["worstcase", "--family", "prop5", "--sweep", "0:1"],
         ["worstcase", "--family", "prop2", "--sweep", "2:3", "--r", "0"],
         ["solve", "--method", "brute", "--instance", "inst.txt"],
+        ["gen", "--free-form", "--n", "5", "--m", "1", "--d", "5"],
+        ["gen", "--free-form", "--n", "2", "--m", "1", "--d", "10000"],
+        ["gen", "--free-form", "--n", "10", "--m", "10", "--seed", "2"],
     ],
-    ids=["prop2-n-below-2", "prop5-theta-below-1", "r-zero", "brute-25-items"],
+    ids=[
+        "prop2-n-below-2",
+        "prop5-theta-below-1",
+        "r-zero",
+        "brute-25-items",
+        "gen-empty-weight-range",
+        "gen-always-trivial",
+        "gen-classes-never-covered",
+    ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, args):
     inst_path = tmp_path / "inst.txt"
