@@ -15,13 +15,13 @@ of which other instances are generated around it.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
+from .bounds import ceil_div
 from .core import Instance, validate_instance
 
 GRID_N = (25, 50, 75, 100, 200)
@@ -102,12 +102,20 @@ class GeneratorConfig:
             raise ValueError(f"d = {self.d} leaves no setup weight in [{s_lo}, {s_hi}]")
 
     def weight_interval(self) -> tuple[int, int]:
-        lo, hi = ITEM_RANGES[self.item_size]
-        return math.ceil(lo * self.d), math.floor(hi * self.d)
+        return _integers_in(ITEM_RANGES[self.item_size], self.d)
 
     def setup_interval(self) -> tuple[int, int]:
-        lo, hi = SETUP_RANGES[self.setup_size]
-        return math.ceil(lo * self.d), math.floor(hi * self.d)
+        return _integers_in(SETUP_RANGES[self.setup_size], self.d)
+
+
+def _integers_in(span: tuple[Fraction, Fraction], d: int) -> tuple[int, int]:
+    """First and last integer of ``[lo * d, hi * d]``.
+
+    Integer arithmetic on the numerators keeps the config check cheap
+    enough to run for every grid config.
+    """
+    lo, hi = span
+    return ceil_div(lo.numerator * d, lo.denominator), hi.numerator * d // hi.denominator
 
 
 @dataclass(frozen=True)
