@@ -134,9 +134,8 @@ def branch_and_bound(
     ``override_validation``) that is the optimal one-bin packing.  Each
     node is an ``expand`` generator driven by
     :func:`bpps.bpp.depth_first`, which counts the nodes and applies both
-    limits.  When a limit is hit the
-    incumbent and the root bound are returned with status
-    ``limit-reached``.
+    limits.  When a limit is hit the incumbent and the root bound are
+    returned with status ``limit-reached``.
     """
     best_solution, trace = cha(
         inst, BPP_HEURISTIC, override_validation=override_validation
