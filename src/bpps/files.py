@@ -35,6 +35,13 @@ class FileFormatError(BppsError):
     """The file does not follow the documented layout."""
 
 
+def _read_text(source: str | Path) -> str:
+    try:
+        return Path(source).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{source} is not ASCII text") from None
+
+
 def _data_lines(text: str) -> list[str]:
     lines = []
     for raw in text.splitlines():
@@ -103,7 +110,7 @@ def parse_instance(text: str) -> Instance:
 
 
 def read_instance(source: str | Path) -> Instance:
-    return parse_instance(Path(source).read_text(encoding="ascii"))
+    return parse_instance(_read_text(source))
 
 
 def render_solution(name: str, sol: Solution) -> str:
@@ -149,4 +156,4 @@ def parse_solution(text: str) -> tuple[str, Solution]:
 
 
 def read_solution(source: str | Path) -> tuple[str, Solution]:
-    return parse_solution(Path(source).read_text(encoding="ascii"))
+    return parse_solution(_read_text(source))

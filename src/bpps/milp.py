@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .bounds import (
     FAMILY_ASSIGNMENT,
@@ -51,6 +50,8 @@ MODEL_VARIANTS = (VARIANT_N, VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR)
 BINARY_TOLERANCE = 1e-6
 
 _LINE_WIDTH = 78
+#: Characters the LP file reader decodes and splits at a time.
+_BLOCK = 1 << 16
 
 
 class LpFormatError(BppsError):
@@ -276,7 +277,8 @@ def render_lp(model: MilpModel) -> str:
     out.append("Binaries")
     _wrap("", list(model.variables), out)
     out.append("End")
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, without copying the joined text
+    return "\n".join(out)
 
 
 def emit_lp_file(model: MilpModel, destination: str | Path) -> Path:
@@ -286,8 +288,11 @@ def emit_lp_file(model: MilpModel, destination: str | Path) -> Path:
     return path
 
 
-_SENSES = frozenset(("<=", ">=", "="))
+#: Each sense token maps to one shared string, so parsed rows hold three.
+_SENSES = {"<=": "<=", ">=": ">=", "=": "="}
 _SECTIONS = {"minimize": "objective", "subject to": "rows", "binaries": "binaries", "end": None}
+
+_Term = tuple[str, int]
 
 
 def _integer(text: str, what: str) -> int:
@@ -297,9 +302,15 @@ def _integer(text: str, what: str) -> int:
         raise LpFormatError(f"{what} is not an integer: {text!r}") from None
 
 
-def _parse_terms(tokens: list[str], row: str | None = None) -> tuple[tuple[str, int], ...]:
-    """Terms of the objective, or of the named row, from their tokens."""
-    terms: list[tuple[str, int]] = []
+def _parse_terms(
+    tokens: list[str], names: dict[str, str], shared: dict[_Term, _Term], row: str | None = None
+) -> tuple[_Term, ...]:
+    """Terms of the objective, or of the named row, from their tokens.
+
+    ``names`` and ``shared`` map each variable name and each term read so
+    far to itself, so equal names and equal terms of a model are one object.
+    """
+    terms: list[_Term] = []
     sign = 1
     coeff: int | None = None
     for tok in tokens:
@@ -310,8 +321,8 @@ def _parse_terms(tokens: list[str], row: str | None = None) -> tuple[tuple[str, 
         elif tok.isdecimal():
             coeff = int(tok)
         else:
-            value = sign * (1 if coeff is None else coeff)
-            terms.append((tok, value))
+            term = (names.setdefault(tok, tok), sign if coeff is None else sign * coeff)
+            terms.append(shared.setdefault(term, term))
             sign, coeff = 1, None
     if coeff is not None:
         where = "objective" if row is None else f"row {row}"
@@ -319,20 +330,49 @@ def _parse_terms(tokens: list[str], row: str | None = None) -> tuple[tuple[str, 
     return tuple(terms)
 
 
-def parse_lp(text: str) -> MilpModel:
-    """Parse LP text written by :func:`render_lp` back into a model.
+def _parse_row(chunk: list[str], names: dict[str, str], shared: dict[_Term, _Term]) -> Row:
+    """The row whose tokens, from its ``name:`` on, are ``chunk``."""
+    name = chunk[0][:-1]
+    body = chunk[1:-2]
+    # The sense is the last token but one and no earlier token is one.
+    if len(chunk) < 3 or chunk[-2] not in _SENSES or not _SENSES.keys().isdisjoint(body):
+        raise LpFormatError(f"row {name!r} lacks a trailing sense and rhs")
+    terms = _parse_terms(body, names, shared, name)
+    if not name.startswith(_ROW_PREFIXES):
+        _family_of(name)  # raises: the name is outside the five families
+    rhs = chunk[-1]
+    # Plain digits skip _integer, whose message would be built per row.
+    rhs = int(rhs) if rhs.isdecimal() else _integer(rhs, f"rhs of row {name!r}")
+    return Row(name, terms, _SENSES[chunk[-2]], rhs)
 
-    Besides text outside the dialect, :class:`LpFormatError` rejects a
-    model that does not hold together: a variant outside
-    ``MODEL_VARIANTS``, a ``Binaries`` section without ``(n + m + 1) * k``
-    names, and a term naming a variable that ``Binaries`` does not list.
+
+def _read_lp(lines: Iterable[str]) -> MilpModel:
+    """The model in LP ``lines``, read in one pass that keeps one row's tokens.
+
+    A row is parsed when the next row starts or the input ends.  Errors
+    keep the precedence of reading all lines first: a line error is raised
+    at once, and the first row error only after the header and the
+    objective have been checked.
     """
     meta: dict[str, str] = {}
     section = None
     objective_tokens: list[str] = []
-    row_chunks: list[list[str]] = []
     binary_names: list[str] = []
-    for raw in text.splitlines():
+    rows: list[Row] = []
+    names: dict[str, str] = {}
+    shared: dict[_Term, _Term] = {}
+    chunk: list[str] | None = None  # the tokens of the row being read
+    row_error: LpFormatError | None = None
+
+    def finish_row(chunk: list[str] | None) -> None:
+        nonlocal row_error
+        if chunk is not None and row_error is None:
+            try:
+                rows.append(_parse_row(chunk, names, shared))
+            except LpFormatError as exc:
+                row_error = exc
+
+    for raw in lines:
         tokens = raw.split()
         if not tokens:
             continue
@@ -352,24 +392,27 @@ def parse_lp(text: str) -> MilpModel:
             # A token ending in ":" starts a row.  Emitted lines either
             # start one (the only ":" ends their first token) or continue
             # one (no ":"); other lines take the token-by-token scan.
-            if ":" not in raw and row_chunks:
-                row_chunks[-1].extend(tokens)
+            if ":" not in raw and chunk is not None:
+                chunk.extend(tokens)
             elif first[-1] == ":" and raw.count(":") == 1:
-                row_chunks.append(tokens)
+                finish_row(chunk)
+                chunk = tokens
             else:
                 for tok in tokens:
                     if tok.endswith(":"):
-                        row_chunks.append([tok])
-                    elif row_chunks:
-                        row_chunks[-1].append(tok)
+                        finish_row(chunk)
+                        chunk = [tok]
+                    elif chunk is not None:
+                        chunk.append(tok)
                     else:
                         raise LpFormatError("constraint tokens before a row name")
         elif section == "objective":
             objective_tokens.extend(tokens)
         elif section == "binaries":
-            binary_names.extend(tokens)
+            binary_names.extend(map(names.get, tokens, tokens))
         else:
             raise LpFormatError(f"unexpected line outside sections: {raw.strip()!r}")
+    finish_row(chunk)
 
     for key in ("variant", "k", "n", "m"):
         if key not in meta:
@@ -377,22 +420,9 @@ def parse_lp(text: str) -> MilpModel:
 
     if objective_tokens and objective_tokens[0].endswith(":"):
         objective_tokens = objective_tokens[1:]
-    objective = _parse_terms(objective_tokens)
-
-    rows: list[Row] = []
-    for chunk in row_chunks:
-        name = chunk[0][:-1]
-        body = chunk[1:-2]
-        # The sense is the last token but one and no earlier token is one.
-        if len(chunk) < 3 or chunk[-2] not in _SENSES or not _SENSES.isdisjoint(body):
-            raise LpFormatError(f"row {name!r} lacks a trailing sense and rhs")
-        terms = _parse_terms(body, name)
-        if not name.startswith(_ROW_PREFIXES):
-            _family_of(name)  # raises: the name is outside the five families
-        rhs = chunk[-1]
-        # Plain digits skip _integer, whose message would be built per row.
-        rhs = int(rhs) if rhs.isdecimal() else _integer(rhs, f"rhs of row {name!r}")
-        rows.append(Row(name, terms, chunk[-2], rhs))
+    objective = _parse_terms(objective_tokens, names, shared)
+    if row_error is not None:
+        raise row_error
 
     variant = meta["variant"]
     k = _integer(meta["k"], "header value k")
@@ -405,8 +435,8 @@ def parse_lp(text: str) -> MilpModel:
             f"Binaries lists {len(binary_names)} variables, not (n + m + 1) * k = {(n + m + 1) * k}"
         )
     known = set(binary_names)
-    named = chain(objective, chain.from_iterable(map(attrgetter("terms"), rows)))
-    if not known.issuperset(map(itemgetter(0), named)):
+    # Every variable a term names is a key of ``names``.
+    if not known.issuperset(names):
         owners = [("objective", objective)] + [(f"row {row.name!r}", row.terms) for row in rows]
         for owner, terms in owners:
             for var, _ in terms:
@@ -423,8 +453,38 @@ def parse_lp(text: str) -> MilpModel:
     )
 
 
+def parse_lp(text: str) -> MilpModel:
+    """Parse LP text written by :func:`render_lp` back into a model.
+
+    Besides text outside the dialect, :class:`LpFormatError` rejects a
+    model that does not hold together: a variant outside
+    ``MODEL_VARIANTS``, a ``Binaries`` section without ``(n + m + 1) * k``
+    names, and a term naming a variable that ``Binaries`` does not list.
+    """
+    return _read_lp(text.splitlines())
+
+
+def _line_blocks(file: TextIO) -> Iterator[list[str]]:
+    """The file's lines, ``_BLOCK`` characters and the rest of a line at a time.
+
+    Each block is split as a whole, so lines break where ``parse_lp``
+    breaks them: ``str.splitlines`` also ends a line at \\v, \\f and
+    \\x1c-\\x1e, which file iteration does not.
+    """
+    while block := file.read(_BLOCK):
+        yield (block + file.readline()).splitlines()
+
+
 def parse_lp_file(source: str | Path) -> MilpModel:
-    return parse_lp(Path(source).read_text(encoding="ascii"))
+    """:func:`parse_lp` on the file, read block by block as it is decoded.
+
+    A byte outside ASCII is an :class:`LpFormatError`.
+    """
+    with open(source, encoding="ascii") as file:
+        try:
+            return _read_lp(chain.from_iterable(_line_blocks(file)))
+        except UnicodeDecodeError:
+            raise LpFormatError(f"{source} is not ASCII text") from None
 
 
 def _round_binary(name: str, value: float) -> int:

@@ -159,9 +159,12 @@ def collect_report(directory: str | Path) -> list[dict[str, str]]:
     """One row per instance file in the directory, in name order.
 
     A solution file ``<stem>.sol`` sitting next to an instance file fills
-    the solution-dependent columns.
+    the solution-dependent columns.  A missing directory is an error, not
+    an empty report.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"no directory {directory}")
     rows = []
     for path in sorted(directory.glob("*.txt")):
         try:

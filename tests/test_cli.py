@@ -12,7 +12,7 @@ from bpps.cli import (
 )
 from bpps.cha import BPP_MODES, k_upper
 from bpps.core import Instance, Solution
-from bpps.files import read_instance, write_instance, write_solution
+from bpps.files import read_instance, render_instance, write_instance, write_solution
 from conftest import count_feasibility_checks, fig1_instance
 
 
@@ -30,6 +30,28 @@ def test_usage_error_exit_code(capsys):
 
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["bounds", "--instance", str(tmp_path / "nope.txt")]) == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds", "--instance", "{dir}/cafe.txt"],
+        ["verify", "--instance", "{dir}/fig1_r10.txt", "--solution", "{dir}/cafe.sol"],
+        ["report", "--dir", "{dir}/missing"],
+        ["report", "--dir", "{dir}/fig1_r10.txt"],
+    ],
+    ids=["non-ascii-instance", "non-ascii-solution", "missing-report-dir", "report-dir-is-a-file"],
+)
+def test_file_error_is_one_line_and_exit_2(fig1_file, tmp_path, capsys, args):
+    text = render_instance(fig1_instance(), ["drawn at the café"])
+    (tmp_path / "cafe.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "cafe.sol").write_text("BPPS-SOL 1\ncafé 1\n1 2\n", encoding="utf-8")
+    assert main([a.format(dir=tmp_path) for a in args]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("file error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_bounds_output(fig1_file, capsys):

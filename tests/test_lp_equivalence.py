@@ -2,8 +2,11 @@
 
 ``ref_*`` below are verbatim copies of the token-by-token writer and reader
 that ``bpps.milp`` used before its per-row fast paths (the reader before it
-also checked the model).  Every case compares bytes and parsed models: the
-fast paths must change nothing but the time taken.
+also checked the model).  ``two_phase_*`` are verbatim copies of the reader
+that came next: it held the whole text, split it into rows, then parsed
+them, and checked the model.  Every case compares bytes and parsed models:
+the fast paths and the one-pass reader must change nothing but the time
+and memory taken, and the one-pass reader must raise the same errors.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import replace
+from itertools import chain, permutations
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 import pytest
@@ -23,13 +28,16 @@ from bpps.milp import (
     Row,
     VARIANT_DDAG,
     VARIANT_N,
+    _ROW_PREFIXES,
     _family_of,
     _wrap,
     build_model,
     parse_lp,
+    parse_lp_file,
     render_lp,
 )
 from conftest import fig1_instance, random_instance
+from test_milp import MALFORMED_LP_EDITS, MALFORMED_LP_IDS
 
 _LINE_WIDTH = 78
 
@@ -187,6 +195,129 @@ def ref_parse_lp(text: str) -> MilpModel:
     )
 
 
+_SENSE_SET = frozenset(_SENSES)
+_SECTIONS = {"minimize": "objective", "subject to": "rows", "binaries": "binaries", "end": None}
+
+
+def two_phase_parse_terms(tokens: list[str], row: str | None = None) -> tuple[tuple[str, int], ...]:
+    """Terms of the objective, or of the named row, from their tokens."""
+    terms: list[tuple[str, int]] = []
+    sign = 1
+    coeff: int | None = None
+    for tok in tokens:
+        if tok == "+":
+            sign = 1
+        elif tok == "-":
+            sign = -1
+        elif tok.isdecimal():
+            coeff = int(tok)
+        else:
+            value = sign * (1 if coeff is None else coeff)
+            terms.append((tok, value))
+            sign, coeff = 1, None
+    if coeff is not None:
+        where = "objective" if row is None else f"row {row}"
+        raise LpFormatError(f"dangling coefficient in {where}")
+    return tuple(terms)
+
+
+def two_phase_parse_lp(text: str) -> MilpModel:
+    meta: dict[str, str] = {}
+    section = None
+    objective_tokens: list[str] = []
+    row_chunks: list[list[str]] = []
+    binary_names: list[str] = []
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if not tokens:
+            continue
+        first = tokens[0]
+        if first[0] == "\\":
+            for tok in raw.strip()[1:].split():
+                if "=" in tok:
+                    key, value = tok.split("=", 1)
+                    meta[key] = value
+            continue
+        if len(tokens) <= 2:  # a section keyword is one or two words
+            lowered = raw.strip().lower()
+            if lowered in _SECTIONS:
+                section = _SECTIONS[lowered]
+                continue
+        if section == "rows":
+            # A token ending in ":" starts a row.  Emitted lines either
+            # start one (the only ":" ends their first token) or continue
+            # one (no ":"); other lines take the token-by-token scan.
+            if ":" not in raw and row_chunks:
+                row_chunks[-1].extend(tokens)
+            elif first[-1] == ":" and raw.count(":") == 1:
+                row_chunks.append(tokens)
+            else:
+                for tok in tokens:
+                    if tok.endswith(":"):
+                        row_chunks.append([tok])
+                    elif row_chunks:
+                        row_chunks[-1].append(tok)
+                    else:
+                        raise LpFormatError("constraint tokens before a row name")
+        elif section == "objective":
+            objective_tokens.extend(tokens)
+        elif section == "binaries":
+            binary_names.extend(tokens)
+        else:
+            raise LpFormatError(f"unexpected line outside sections: {raw.strip()!r}")
+
+    for key in ("variant", "k", "n", "m"):
+        if key not in meta:
+            raise LpFormatError(f"missing {key!r} in the header comment")
+
+    if objective_tokens and objective_tokens[0].endswith(":"):
+        objective_tokens = objective_tokens[1:]
+    objective = two_phase_parse_terms(objective_tokens)
+
+    rows: list[Row] = []
+    for chunk in row_chunks:
+        name = chunk[0][:-1]
+        body = chunk[1:-2]
+        # The sense is the last token but one and no earlier token is one.
+        if len(chunk) < 3 or chunk[-2] not in _SENSE_SET or not _SENSE_SET.isdisjoint(body):
+            raise LpFormatError(f"row {name!r} lacks a trailing sense and rhs")
+        terms = two_phase_parse_terms(body, name)
+        if not name.startswith(_ROW_PREFIXES):
+            _family_of(name)  # raises: the name is outside the five families
+        rhs = chunk[-1]
+        # Plain digits skip _integer, whose message would be built per row.
+        rhs = int(rhs) if rhs.isdecimal() else ref_integer(rhs, f"rhs of row {name!r}")
+        rows.append(Row(name, terms, chunk[-2], rhs))
+
+    variant = meta["variant"]
+    k = ref_integer(meta["k"], "header value k")
+    n = ref_integer(meta["n"], "header value n")
+    m = ref_integer(meta["m"], "header value m")
+    if variant not in MODEL_VARIANTS:
+        raise LpFormatError(f"unknown variant {variant!r} in the header comment")
+    if len(binary_names) != (n + m + 1) * k:
+        raise LpFormatError(
+            f"Binaries lists {len(binary_names)} variables, not (n + m + 1) * k = {(n + m + 1) * k}"
+        )
+    known = set(binary_names)
+    named = chain(objective, chain.from_iterable(map(attrgetter("terms"), rows)))
+    if not known.issuperset(map(itemgetter(0), named)):
+        owners = [("objective", objective)] + [(f"row {row.name!r}", row.terms) for row in rows]
+        for owner, terms in owners:
+            for var, _ in terms:
+                if var not in known:
+                    raise LpFormatError(f"{owner} names {var!r}, which Binaries does not list")
+    return MilpModel(
+        variant=variant,
+        k=k,
+        n=n,
+        m=m,
+        variables=tuple(binary_names),
+        objective=objective,
+        rows=tuple(rows),
+    )
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -194,7 +325,7 @@ def assert_same(model: MilpModel) -> str:
     """Both writers give the same bytes; both readers give back the model."""
     text = render_lp(model)
     assert text == ref_render_lp(model)
-    assert parse_lp(text) == ref_parse_lp(text) == model
+    assert parse_lp(text) == ref_parse_lp(text) == two_phase_parse_lp(text) == model
     return text
 
 
@@ -220,6 +351,14 @@ def reshape_lines(text: str, rng: random.Random, edits: int = 12) -> str:
         elif lines[pos + 1] not in markers:
             lines[pos:pos + 2] = [lines[pos] + lines[pos + 1]]
     return "\n".join(lines)
+
+
+def read(parse, source) -> MilpModel | str:
+    """What ``parse(source)`` gives: the model, or the message of its error."""
+    try:
+        return parse(source)
+    except LpFormatError as exc:
+        return str(exc)
 
 
 def random_models(seed: int, count: int, **sizes) -> list[MilpModel]:
@@ -352,3 +491,53 @@ def test_dialect_errors_match_the_reference(old, new):
     with pytest.raises(LpFormatError) as new_error:
         parse_lp(edited)
     assert str(new_error.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("seed", [23, 29])
+def test_text_and_file_readers_match_the_two_phase_reader(seed, tmp_path):
+    rng = random.Random(seed)
+    path = tmp_path / "model.lp"
+    for model in random_models(seed, 6, max_n=12):
+        text = render_lp(model)
+        for lines in (text, reshape_lines(text, rng)):
+            path.write_text(lines, encoding="ascii")
+            assert parse_lp(lines) == parse_lp_file(path) == two_phase_parse_lp(lines) == model
+
+
+def test_two_edits_raise_what_the_two_phase_reader_raises(tmp_path):
+    """The held row error keeps its place behind every other error."""
+    text = render_lp(build_model(fig1_instance(), VARIANT_DDAG))
+    path = tmp_path / "model.lp"
+    pairs = 0
+    edits = zip(MALFORMED_LP_IDS, MALFORMED_LP_EDITS)
+    for (id1, (old1, new1, _)), (id2, (old2, new2, _)) in permutations(edits, 2):
+        edited = text.replace(old1, new1, 1)
+        if old2 not in edited:
+            continue
+        edited = edited.replace(old2, new2, 1)
+        path.write_text(edited, encoding="ascii")
+        expected = read(two_phase_parse_lp, edited)
+        assert isinstance(expected, str), (id1, id2)
+        assert read(parse_lp, edited) == read(parse_lp_file, path) == expected, (id1, id2)
+        pairs += 1
+    assert pairs >= 100
+
+
+@pytest.mark.parametrize("old, new, message", MALFORMED_LP_EDITS, ids=MALFORMED_LP_IDS)
+def test_single_edits_through_the_file_reader(old, new, message, tmp_path):
+    edited = render_lp(build_model(fig1_instance(), VARIANT_DDAG)).replace(old, new, 1)
+    path = tmp_path / "model.lp"
+    path.write_text(edited, encoding="ascii")
+    assert read(parse_lp_file, path) == read(two_phase_parse_lp, edited) == message
+
+
+def test_file_lines_break_where_splitlines_breaks(tmp_path):
+    """Vertical tab, form feed and \\x1c-\\x1e end a line in a file too."""
+    model = build_model(fig1_instance(), VARIANT_N)
+    edited = render_lp(model).replace("\nSubject To\n", "\fSubject To\v", 1)
+    for row, brk in enumerate("\x1c\x1d\x1e", start=2):
+        edited = edited.replace(f" = 1\n assign_{row}:", f" = 1{brk}assign_{row}:", 1)
+    assert all(brk in edited for brk in "\v\f\x1c\x1d\x1e")
+    path = tmp_path / "model.lp"
+    path.write_text(edited, encoding="ascii")
+    assert parse_lp_file(path) == parse_lp(edited) == two_phase_parse_lp(edited) == model

@@ -81,6 +81,7 @@ def test_collect_report_over_directory(tmp_path):
     other = fig1_instance(bin_cost=1)
     write_instance(other, tmp_path / "fig1_r1.txt")
     (tmp_path / "notes.txt").write_text("not an instance\n")
+    (tmp_path / "accents.txt").write_text("# café\n", encoding="utf-8")
 
     rows = collect_report(tmp_path)
     assert [row["instance"] for row in rows] == ["fig1_r1", "fig1_r10"]
