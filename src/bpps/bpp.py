@@ -222,8 +222,10 @@ def _exact_search(
     subtrees) or into a single fresh bin.  Every packing needs at least
     ``floor`` bins, the larger of the volume bound and the cardinality
     bound ``ceil(n / (capacity // smallest weight))``.  A node is pruned
-    when ``max(open bins, floor)`` reaches the incumbent.  Each node is an
-    ``expand`` generator driven by :func:`depth_first`.
+    when ``max(open bins, floor)`` reaches the incumbent.  A trail
+    records each item's bin, and the bins are built only when a leaf
+    improves the incumbent.  Each node is an ``expand`` generator driven
+    by :func:`depth_first`.
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]
@@ -232,37 +234,38 @@ def _exact_search(
 
     start = fit_heuristic(bi, RULE_FIRST_FIT, order)
     best_count = start.bin_count
-    best_bins: list[list[int]] = [list(b) for b in start.bins]
+    best_bins: Sequence[Sequence[int]] = start.bins
 
     loads: list[int] = []
-    content: list[list[int]] = []
+    where = [0] * n  # where[idx]: the bin of the item placed at depth idx
 
     def expand(idx: int) -> Iterator:
         nonlocal best_count, best_bins
+        k = len(loads)
         if idx == n:
-            if len(loads) < best_count:
-                best_count = len(loads)
-                best_bins = [list(b) for b in content]
+            if k < best_count:
+                best_count = k
+                best_bins = [[] for _ in range(k)]
+                for item, b in zip(order, where):
+                    best_bins[b].append(item)
             return
-        if max(len(loads), floor) >= best_count:
+        if k >= best_count or floor >= best_count:
             return
-        item = order[idx]
         w = weights[idx]
+        room = cap - w
         seen: set[int] = set()
-        for b in range(len(loads)):
+        for b in range(k):
             load = loads[b]
-            if load + w > cap or load in seen:
+            if load > room or load in seen:
                 continue
             seen.add(load)
             loads[b] = load + w
-            content[b].append(item)
+            where[idx] = b
             yield expand(idx + 1)
-            content[b].pop()
             loads[b] = load
         loads.append(w)
-        content.append([item])
+        where[idx] = k
         yield expand(idx + 1)
-        content.pop()
         loads.pop()
 
     nodes, finished = depth_first(expand(0), node_limit)

@@ -12,6 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import exact, gen, milp
 from .bounds import bounds_report, zeta_lp_dag
@@ -306,6 +307,21 @@ def _range_pair(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _at_least_zero(cast: Callable[[str], float], what: str) -> Callable[[str], float]:
+    """An argparse ``type`` that reads ``cast(text)`` and requires it >= 0."""
+
+    def parse(text: str) -> float:
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= 0:  # NaN fails >= 0 too
+            raise argparse.ArgumentTypeError(f"expected {what} >= 0, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bpps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -339,8 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve exactly")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("auto", "brute", "bnb"), default="auto")
-    p.add_argument("--node-limit", type=int, default=exact.DEFAULT_NODE_LIMIT)
-    p.add_argument("--time-limit", type=float, default=exact.DEFAULT_TIME_LIMIT)
+    p.add_argument(
+        "--node-limit", type=_at_least_zero(int, "an integer"), default=exact.DEFAULT_NODE_LIMIT
+    )
+    p.add_argument(
+        "--time-limit", type=_at_least_zero(float, "seconds"), default=exact.DEFAULT_TIME_LIMIT
+    )
     p.add_argument("--allow-trivial", action="store_true")
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_solve)

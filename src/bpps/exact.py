@@ -129,13 +129,16 @@ def branch_and_bound(
     Items are assigned in non-increasing weight order to every open bin
     with room (skipping bins whose load and active-class set duplicate an
     earlier bin, which lead to symmetric subtrees) or to one fresh bin.
-    The incumbent starts from the constructive heuristic, which also
-    validates the instance; on a trivial instance (allowed only with
-    ``override_validation``) that is the optimal one-bin packing.  Each
-    node is an ``expand`` generator driven by
-    :func:`bpps.bpp.depth_first`, which counts the nodes and applies both
-    limits.  When a limit is hit the incumbent and the root bound are
-    returned with status ``limit-reached``.
+    Each bin's active classes are an int bitmask with bit ``c`` for class
+    ``c``, so the symmetry signature is ``(load, mask)``, and a trail
+    records each item's bin; the bins themselves are built only when a
+    leaf improves the incumbent.  The incumbent starts from the
+    constructive heuristic, which also validates the instance; on a
+    trivial instance (allowed only with ``override_validation``) that is
+    the optimal one-bin packing.  Each node is an ``expand`` generator
+    driven by :func:`bpps.bpp.depth_first`, which counts the nodes and
+    applies both limits.  When a limit is hit the incumbent and the root
+    bound are returned with status ``limit-reached``.
     """
     best_solution, trace = cha(
         inst, BPP_HEURISTIC, override_validation=override_validation
@@ -149,18 +152,36 @@ def branch_and_bound(
     total_weight = inst.total_weight
 
     order = sorted(inst.items, key=lambda i: (-inst.weight(i), i))
+    # One row per depth: weight, class, class bit, gamma_c, setup weight
+    # and setup cost of the item placed there.
+    rows = []
+    for i in order:
+        c = inst.item_class(i)
+        rows.append((inst.weight(i), c, 1 << c, g[c - 1], setup_w[c - 1], setup_f[c - 1]))
 
     loads: list[int] = []
-    actives: list[set[int]] = []
-    content: list[list[int]] = []
+    masks: list[int] = []
+    where = [0] * n  # where[idx]: the bin of the item placed at depth idx
     act_count = [0] * (m + 1)
     # Running sums of max(act_count_c, gamma_c) * s_c and * f_c.
     sum_s = sum(gc * s for gc, s in zip(g, setup_w))
     sum_f = sum(gc * fc for gc, fc in zip(g, setup_f))
-    committed_setup = 0
     deadline = time.monotonic() + time_limit
 
-    def bound() -> int:
+    def expand(idx: int) -> Iterator:
+        nonlocal best_cost, best_solution, sum_s, sum_f
+        k = len(loads)
+        if idx == n:
+            # A full packing has every class active in at least gamma_c
+            # bins, so sum_f is its setup cost.
+            cost = r * k + sum_f
+            if cost < best_cost:
+                best_cost = cost
+                bins: list[list[int]] = [[] for _ in range(k)]
+                for i, b in zip(order, where):
+                    bins[b].append(i)
+                best_solution = Solution(tuple(map(frozenset, bins)))
+            return
         # Valid lower bound on any completion of the current partial
         # packing: a class already active in a bins stays active there and
         # must end active in at least max(a, gamma_c) bins, so setup cost
@@ -169,64 +190,56 @@ def branch_and_bound(
         # K also cannot drop below the bins already open.  With no items
         # assigned this is exactly r * k_lower + sum gamma_c f_c = zeta_ddag,
         # the lower bound returned when a limit stops the search.
-        k_min = ceil_div(total_weight + sum_s, d)
-        return r * max(len(loads), k_min) + sum_f
-
-    def expand(idx: int) -> Iterator:
-        nonlocal best_cost, best_solution, sum_s, sum_f, committed_setup
-        if idx == n:
-            cost = r * len(loads) + committed_setup
-            if cost < best_cost:
-                best_cost = cost
-                best_solution = Solution(tuple(frozenset(b) for b in content))
+        k_min = -(-(total_weight + sum_s) // d)  # ceil_div, inlined at every node
+        if r * (k if k > k_min else k_min) + sum_f >= best_cost:
             return
-        if bound() >= best_cost:
-            return
-        i = order[idx]
-        w = inst.weight(i)
-        c = inst.item_class(i)
-        s, fc = setup_w[c - 1], setup_f[c - 1]
-        seen: set[tuple[int, frozenset[int]]] = set()
-        # Every open bin with room, then one fresh bin.
-        for b in range(len(loads) + 1):
-            if b < len(loads):
-                fresh = c not in actives[b]
-                extra = s if fresh else 0
-                if loads[b] + w + extra > d:
-                    continue
-                sig = (loads[b], frozenset(actives[b]))
-                if sig in seen:
-                    continue
-                seen.add(sig)
-            else:
-                fresh, extra = True, s
-                loads.append(0)
-                actives.append(set())
-                content.append([])
-            loads[b] += w + extra
-            content[b].append(i)
+        w, c, bit, gc, s, fc = rows[idx]
+        seen: set[tuple[int, int]] = set()
+        for b in range(k):
+            load, mask = loads[b], masks[b]
+            fresh = not mask & bit
+            new_load = load + w + s if fresh else load + w
+            if new_load > d:
+                continue
+            sig = (load, mask)
+            if sig in seen:
+                continue
+            seen.add(sig)
+            loads[b] = new_load
+            where[idx] = b
             if fresh:
-                actives[b].add(c)
+                masks[b] = mask | bit
                 act_count[c] += 1
-                committed_setup += fc
-                if act_count[c] > g[c - 1]:
+                if act_count[c] > gc:
                     sum_s += s
                     sum_f += fc
-            yield expand(idx + 1)
-            if fresh:
-                if act_count[c] > g[c - 1]:
+                yield expand(idx + 1)
+                if act_count[c] > gc:
                     sum_s -= s
                     sum_f -= fc
                 act_count[c] -= 1
-                committed_setup -= fc
-                actives[b].discard(c)
-            content[b].pop()
-            loads[b] -= w + extra
-        content.pop()
-        actives.pop()
+                masks[b] = mask
+            else:
+                yield expand(idx + 1)
+            loads[b] = load
+        # One fresh bin.
+        loads.append(w + s)
+        masks.append(bit)
+        where[idx] = k
+        act_count[c] += 1
+        if act_count[c] > gc:
+            sum_s += s
+            sum_f += fc
+        yield expand(idx + 1)
+        if act_count[c] > gc:
+            sum_s -= s
+            sum_f -= fc
+        act_count[c] -= 1
+        masks.pop()
         loads.pop()
 
-    root_lb = bound()
+    # The bound at the root, zeta_ddag.
+    root_lb = r * ceil_div(total_weight + sum_s, d) + sum_f
     nodes, finished = depth_first(expand(0), node_limit, deadline)
     if not finished:
         return ExactResult(

@@ -319,15 +319,21 @@ def _parse_terms(
         elif tok == "-":
             sign = -1
         elif tok.isdecimal():
-            coeff = int(tok)
+            try:
+                coeff = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise LpFormatError(f"{len(tok)}-digit coefficient in {_where(row)}") from None
         else:
             term = (names.setdefault(tok, tok), sign if coeff is None else sign * coeff)
             terms.append(shared.setdefault(term, term))
             sign, coeff = 1, None
     if coeff is not None:
-        where = "objective" if row is None else f"row {row}"
-        raise LpFormatError(f"dangling coefficient in {where}")
+        raise LpFormatError(f"dangling coefficient in {_where(row)}")
     return tuple(terms)
+
+
+def _where(row: str | None) -> str:
+    return "objective" if row is None else f"row {row}"
 
 
 def _parse_row(chunk: list[str], names: dict[str, str], shared: dict[_Term, _Term]) -> Row:
@@ -342,7 +348,10 @@ def _parse_row(chunk: list[str], names: dict[str, str], shared: dict[_Term, _Ter
         _family_of(name)  # raises: the name is outside the five families
     rhs = chunk[-1]
     # Plain digits skip _integer, whose message would be built per row.
-    rhs = int(rhs) if rhs.isdecimal() else _integer(rhs, f"rhs of row {name!r}")
+    try:
+        rhs = int(rhs) if rhs.isdecimal() else _integer(rhs, f"rhs of row {name!r}")
+    except ValueError:  # more digits than int() converts
+        raise LpFormatError(f"{len(rhs)}-digit rhs of row {name!r}") from None
     return Row(name, terms, _SENSES[chunk[-2]], rhs)
 
 

@@ -240,6 +240,15 @@ def test_bnb_past_recursion_depth_exits_limit_with_an_answer(deep_file, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_zero_limits_are_valid(fig1_file, capsys):
+    solve = ["solve", "--method", "bnb", "--instance", str(fig1_file)]
+    assert main(solve + ["--node-limit", "0"]) == EXIT_LIMIT
+    assert "nodes = 1\n" in capsys.readouterr().out
+    # The clock is read every 1,024 nodes; fig1 is solved in fewer.
+    assert main(solve + ["--time-limit", "0"]) == EXIT_OK
+    assert "status = optimal\n" in capsys.readouterr().out
+
+
 def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
     # At most two items of weight 7 fit in 20, so 600 bins are needed and
     # first fit already uses 600: the search stops at its root.
@@ -259,6 +268,9 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         ["gen", "--free-form", "--n", "5", "--m", "1", "--d", "5"],
         ["gen", "--free-form", "--n", "2", "--m", "1", "--d", "10000"],
         ["gen", "--free-form", "--n", "10", "--m", "10", "--seed", "2"],
+        ["solve", "--time-limit", "nan", "--instance", "inst.txt"],
+        ["solve", "--time-limit", "-1", "--instance", "inst.txt"],
+        ["solve", "--node-limit", "-1", "--instance", "inst.txt"],
     ],
     ids=[
         "prop2-n-below-2",
@@ -268,6 +280,9 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         "gen-empty-weight-range",
         "gen-always-trivial",
         "gen-classes-never-covered",
+        "time-limit-nan",
+        "time-limit-negative",
+        "node-limit-negative",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, args):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -244,6 +245,36 @@ def test_non_ascii_lp_file_is_a_format_error(tmp_path):
         path.write_bytes(edited.encode("utf-8"))
         with pytest.raises(LpFormatError, match="is not ASCII text"):
             parse_lp_file(path)
+
+
+@pytest.mark.parametrize(
+    "old, digits_at, message",
+    [
+        (" = 1\n", " = {}\n", "5000-digit rhs of row 'assign_1'"),
+        (" obj: 10 z_1 ", " obj: {} z_1 ", "5000-digit coefficient in objective"),
+        (" cap_1: 3 x_1_1 ", " cap_1: {} x_1_1 ", "5000-digit coefficient in row cap_1"),
+    ],
+    ids=["rhs", "objective-coefficient", "row-coefficient"],
+)
+def test_integer_past_the_conversion_limit_is_a_format_error(
+    fig1, tmp_path, old, digits_at, message
+):
+    # int() refuses decimal strings longer than the interpreter's limit
+    # (4,300 digits by default) with a ValueError.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = render_lp(build_model(fig1, VARIANT_N))
+        assert old in text
+        edited = text.replace(old, digits_at.format("9" * 5000), 1)
+        path = tmp_path / "model.lp"
+        path.write_text(edited, encoding="ascii")
+        for read, source in ((parse_lp, edited), (parse_lp_file, path)):
+            with pytest.raises(LpFormatError) as info:
+                read(source)
+            assert str(info.value) == message
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestReaderMemory:

@@ -295,6 +295,36 @@ def test_branch_and_bound_matches_the_recursive_search(node_limit):
         assert branch_and_bound(inst, node_limit, math.inf) == want
 
 
+def test_branch_and_bound_matches_at_the_benchmark_limit():
+    # The benchmark's sweep regime: n = 18..25 at 2,000 nodes, where most
+    # searches stop at the limit.
+    stopped = 0
+    for n in range(18, 26):
+        for j in range(8):
+            inst = sweep_instance(n, j)
+            want = ref_branch_and_bound(inst, 2_000, math.inf)
+            assert branch_and_bound(inst, 2_000, math.inf) == want
+            stopped += want.status == STATUS_LIMIT
+    assert stopped > 32
+
+
+def wide_class_instance() -> Instance:
+    """66 classes: bins of the heavy classes 63..66 have class bits past 64."""
+    rng = random.Random(3)
+    labels = list(range(1, 63)) + [c for c in range(63, 67) for _ in range(8)]
+    weights = [rng.randint(1, 5) for _ in range(62)]
+    weights += [rng.choice((40, 60)) for _ in range(32)]
+    costs = tuple(rng.randint(0, 4) for _ in range(66))
+    return Instance(tuple(weights), 200, tuple(labels), (5,) * 66, costs, 30)
+
+
+@pytest.mark.parametrize("node_limit", NODE_LIMITS + (20_000,))
+def test_branch_and_bound_matches_past_64_classes(node_limit):
+    inst = wide_class_instance()
+    want = ref_branch_and_bound(inst, node_limit, math.inf)
+    assert branch_and_bound(inst, node_limit, math.inf) == want
+
+
 def test_branch_and_bound_time_limit_checked_every_1024_nodes():
     inst = sweep_instance(15, 1)  # 2,015 nodes to optimality
     want = ref_branch_and_bound(inst, DEFAULT_NODE_LIMIT, 0.0)
