@@ -23,6 +23,7 @@ from .core import (
     InvalidInstanceError,
     Solution,
     check_feasible,
+    require_valid,
     solution_cost,
 )
 from .bpp import NodeLimitExceeded
@@ -126,6 +127,8 @@ def _write_benchmark_instance(cfg: gen.GeneratorConfig, out_dir: Path) -> str:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
+    # Trivial instances have bounds too; data errors do not.
+    require_valid(inst, override=True)
     report = bounds_report(inst)
     print("gamma = " + " ".join(str(g) for g in report.gamma))
     print(f"k_lower = {report.k_lower}")

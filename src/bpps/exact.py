@@ -129,8 +129,10 @@ def branch_and_bound(
     Items are assigned in non-increasing weight order to every open bin
     with room (skipping bins whose load and active-class set duplicate an
     earlier bin, which lead to symmetric subtrees) or to one fresh bin.
-    Each bin's active classes are an int bitmask with bit ``c`` for class
-    ``c``, so the symmetry signature is ``(load, mask)``, and a trail
+    Each bin is one int, ``state = (load << (m + 1)) | mask``, where bit
+    ``c`` of ``mask`` is set when class ``c`` is active in the bin; equal
+    states are the symmetric bins, a fresh bin is state 0, and placing an
+    item adds one of two per-depth increments to the state.  A trail
     records each item's bin; the bins themselves are built only when a
     leaf improves the incumbent.  The incumbent starts from the
     constructive heuristic, which also validates the instance; on a
@@ -151,16 +153,19 @@ def branch_and_bound(
     g = gamma(inst)
     total_weight = inst.total_weight
 
+    shift = m + 1
+    full = (d + 1) << shift  # a state at or past this overfills its bin
     order = sorted(inst.items, key=lambda i: (-inst.weight(i), i))
-    # One row per depth: weight, class, class bit, gamma_c, setup weight
-    # and setup cost of the item placed there.
+    # One row per depth for the item placed there: the state increments
+    # into a bin where its class is active and into one where it is not,
+    # then its class, class bit, gamma_c, setup weight and setup cost.
     rows = []
     for i in order:
-        c = inst.item_class(i)
-        rows.append((inst.weight(i), c, 1 << c, g[c - 1], setup_w[c - 1], setup_f[c - 1]))
+        w, c = inst.weight(i), inst.item_class(i)
+        s, bit = setup_w[c - 1], 1 << c
+        rows.append((w << shift, (w + s) << shift | bit, c, bit, g[c - 1], s, setup_f[c - 1]))
 
-    loads: list[int] = []
-    masks: list[int] = []
+    states = [0] * n  # bins k and beyond are empty: state 0
     where = [0] * n  # where[idx]: the bin of the item placed at depth idx
     act_count = [0] * (m + 1)
     # Running sums of max(act_count_c, gamma_c) * s_c and * f_c.
@@ -168,9 +173,8 @@ def branch_and_bound(
     sum_f = sum(gc * fc for gc, fc in zip(g, setup_f))
     deadline = time.monotonic() + time_limit
 
-    def expand(idx: int) -> Iterator:
+    def expand(idx: int, k: int) -> Iterator:
         nonlocal best_cost, best_solution, sum_s, sum_f
-        k = len(loads)
         if idx == n:
             # A full packing has every class active in at least gamma_c
             # bins, so sum_f is its setup cost.
@@ -187,60 +191,39 @@ def branch_and_bound(
         # must end active in at least max(a, gamma_c) bins, so setup cost
         # is at least sum_f and, summing the capacity constraint over all
         # used bins, total bins K satisfy K * d >= total_weight + sum_s;
-        # K also cannot drop below the bins already open.  With no items
+        # K also cannot drop below the k bins already open.  With no items
         # assigned this is exactly r * k_lower + sum gamma_c f_c = zeta_ddag,
         # the lower bound returned when a limit stops the search.
         k_min = -(-(total_weight + sum_s) // d)  # ceil_div, inlined at every node
         if r * (k if k > k_min else k_min) + sum_f >= best_cost:
             return
-        w, c, bit, gc, s, fc = rows[idx]
-        seen: set[tuple[int, int]] = set()
-        for b in range(k):
-            load, mask = loads[b], masks[b]
-            fresh = not mask & bit
-            new_load = load + w + s if fresh else load + w
-            if new_load > d:
+        add_active, add_fresh, c, bit, gc, s, fc = rows[idx]
+        seen: set[int] = set()
+        for b in range(k + 1):  # bin k is the fresh one
+            state = states[b]
+            fresh = not state & bit
+            new = state + add_fresh if fresh else state + add_active
+            if new >= full or state in seen:
                 continue
-            sig = (load, mask)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            loads[b] = new_load
+            seen.add(state)
+            states[b] = new
             where[idx] = b
             if fresh:
-                masks[b] = mask | bit
                 act_count[c] += 1
                 if act_count[c] > gc:
                     sum_s += s
                     sum_f += fc
-                yield expand(idx + 1)
+            yield expand(idx + 1, k + (b == k))
+            if fresh:
                 if act_count[c] > gc:
                     sum_s -= s
                     sum_f -= fc
                 act_count[c] -= 1
-                masks[b] = mask
-            else:
-                yield expand(idx + 1)
-            loads[b] = load
-        # One fresh bin.
-        loads.append(w + s)
-        masks.append(bit)
-        where[idx] = k
-        act_count[c] += 1
-        if act_count[c] > gc:
-            sum_s += s
-            sum_f += fc
-        yield expand(idx + 1)
-        if act_count[c] > gc:
-            sum_s -= s
-            sum_f -= fc
-        act_count[c] -= 1
-        masks.pop()
-        loads.pop()
+            states[b] = state
 
     # The bound at the root, zeta_ddag.
     root_lb = r * ceil_div(total_weight + sum_s, d) + sum_f
-    nodes, finished = depth_first(expand(0), node_limit, deadline)
+    nodes, finished = depth_first(expand(0, 0), node_limit, deadline)
     if not finished:
         return ExactResult(
             best_cost, best_solution, STATUS_LIMIT, min(root_lb, best_cost), nodes

@@ -299,6 +299,9 @@ def _integer(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isdecimal():  # more digits than int() converts
+            raise LpFormatError(f"{len(digits)}-digit {what}") from None
         raise LpFormatError(f"{what} is not an integer: {text!r}") from None
 
 
@@ -346,12 +349,10 @@ def _parse_row(chunk: list[str], names: dict[str, str], shared: dict[_Term, _Ter
     terms = _parse_terms(body, names, shared, name)
     if not name.startswith(_ROW_PREFIXES):
         _family_of(name)  # raises: the name is outside the five families
-    rhs = chunk[-1]
-    # Plain digits skip _integer, whose message would be built per row.
     try:
-        rhs = int(rhs) if rhs.isdecimal() else _integer(rhs, f"rhs of row {name!r}")
-    except ValueError:  # more digits than int() converts
-        raise LpFormatError(f"{len(rhs)}-digit rhs of row {name!r}") from None
+        rhs = int(chunk[-1])
+    except ValueError:  # _integer says why; its message is built only here
+        rhs = _integer(chunk[-1], f"rhs of row {name!r}")
     return Row(name, terms, _SENSES[chunk[-2]], rhs)
 
 

@@ -298,3 +298,52 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, args):
     assert captured.err.startswith("usage error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+# Instance files that are well formed but fail validation, one trivial
+# instance, and two files that do not parse.  Each body follows the
+# "BPPS 1" header line.
+BAD_INSTANCES = {
+    "setup-at-capacity": "2 1 10 1\n0\n10\n3 1\n4 1\n",
+    "zero-capacity": "2 1 0 1\n0\n0\n1 1\n1 1\n",
+    "zero-bin-cost": "3 1 10 0\n0\n1\n5 1\n5 1\n5 1\n",
+    "negative-setup": "3 1 10 1\n0\n-1\n5 1\n5 1\n5 1\n",
+    "empty-class": "3 2 10 1\n0 0\n1 1\n5 1\n5 1\n5 1\n",
+    "item-plus-setup-above-capacity": "3 1 10 1\n0\n3\n8 1\n5 1\n5 1\n",
+    "trivial": "2 1 10 1\n0\n1\n2 1\n3 1\n",
+    "non-ascii": "2 1 10 1\n0\n1\n6 1\n6 1\n# café\n",
+    "truncated": "3 1 10 1\n0\n1\n6 1\n",
+}
+UNPARSED = {"non-ascii", "truncated"}
+
+
+@pytest.mark.parametrize("name", BAD_INSTANCES)
+@pytest.mark.parametrize("command", ["bounds", "cha", "solve", "emit-model", "report"])
+def test_bad_instance_ends_in_an_exit_code(tmp_path, capsys, name, command):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    path = inst_dir / f"{name}.txt"
+    path.write_text("BPPS 1\n" + BAD_INSTANCES[name], encoding="utf-8")
+    argv = {
+        "bounds": ["bounds", "--instance", str(path)],
+        "cha": ["cha", "--instance", str(path)],
+        "solve": ["solve", "--instance", str(path)],
+        "emit-model": [
+            "emit-model", "--instance", str(path), "--variant", "star",
+            "--out", str(tmp_path / "model.lp"),
+        ],
+        "report": ["report", "--dir", str(inst_dir)],
+    }[command]
+    code = main(argv)
+    assert code in range(5)
+    # Files that do not parse are a file error, and report skips them.
+    # Trivial instances have bounds; every other command rejects them
+    # without --allow-trivial, as it rejects every validation error.
+    if name in UNPARSED:
+        expected = EXIT_OK if command == "report" else EXIT_IO
+    elif name == "trivial" and command == "bounds":
+        expected = EXIT_OK
+    else:
+        expected = EXIT_INFEASIBLE
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err

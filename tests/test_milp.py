@@ -253,8 +253,10 @@ def test_non_ascii_lp_file_is_a_format_error(tmp_path):
         (" = 1\n", " = {}\n", "5000-digit rhs of row 'assign_1'"),
         (" obj: 10 z_1 ", " obj: {} z_1 ", "5000-digit coefficient in objective"),
         (" cap_1: 3 x_1_1 ", " cap_1: {} x_1_1 ", "5000-digit coefficient in row cap_1"),
+        (" k=8 ", " k={} ", "5000-digit header value k"),
+        (" = 1\n", " = -{}\n", "5000-digit rhs of row 'assign_1'"),
     ],
-    ids=["rhs", "objective-coefficient", "row-coefficient"],
+    ids=["rhs", "objective-coefficient", "row-coefficient", "header-value", "signed-rhs"],
 )
 def test_integer_past_the_conversion_limit_is_a_format_error(
     fig1, tmp_path, old, digits_at, message

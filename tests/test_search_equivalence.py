@@ -28,7 +28,7 @@ from bpps.bpp import (
     fit_heuristic,
 )
 from bpps.cha import BPP_HEURISTIC, cha
-from bpps.core import Instance, Solution, require_valid
+from bpps.core import MAX_VALUE, Instance, Solution, bin_load, require_valid
 from bpps.exact import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
@@ -323,6 +323,32 @@ def test_branch_and_bound_matches_past_64_classes(node_limit):
     inst = wide_class_instance()
     want = ref_branch_and_bound(inst, node_limit, math.inf)
     assert branch_and_bound(inst, node_limit, math.inf) == want
+
+
+def top_value_instance() -> Instance:
+    """Capacity MAX_VALUE; items 1 and 2 with their setup fill a bin exactly.
+
+    Item 3 with item 1 and the setup overfills a bin by one.  The search
+    needs 2,532 nodes, so the 2,000-node run stops at its limit.
+    """
+    rng = random.Random(8)
+    weights = [2**30, 2**30 - 2, 2**30 - 1]
+    labels = [1, 1, 1]
+    for _ in range(11):
+        weights.append(rng.randint(MAX_VALUE // 7, MAX_VALUE // 3))
+        labels.append(rng.randint(1, 3))
+    return Instance(tuple(weights), MAX_VALUE, tuple(labels), (1, 5, 9), (3, 2, 1), 10)
+
+
+@pytest.mark.parametrize("node_limit", NODE_LIMITS + (20_000,))
+def test_branch_and_bound_matches_at_the_top_of_the_value_range(node_limit):
+    inst = top_value_instance()
+    assert inst.capacity == 2**31 - 1
+    want = ref_branch_and_bound(inst, node_limit, math.inf)
+    assert branch_and_bound(inst, node_limit, math.inf) == want
+    if want.status == STATUS_OPTIMAL:
+        assert frozenset({1, 2}) in want.solution.bins
+        assert bin_load(inst, {1, 2}) == inst.capacity
 
 
 def test_branch_and_bound_time_limit_checked_every_1024_nodes():
