@@ -6,7 +6,9 @@ fit) run under many item orders give an upper bound quickly, and a small
 branch-and-bound gives the exact optimum at desk scale.  That search and
 the BPPS branch-and-bound in :mod:`bpps.exact` both run on
 :func:`depth_first`, an explicit-stack walk that owns the node count and
-the limits.
+the limits.  Each search tests a child's bound in the parent, just before
+yielding it, and yields a pruned child or a leaf as ``None``: a node that
+is counted but never built, so it costs no generator.
 
 Randomized orders come from Python's ``random.Random`` (Mersenne Twister)
 seeded explicitly, with permutations drawn by ``random.shuffle`` (a
@@ -53,21 +55,32 @@ def depth_first(
     """Walk generator nodes depth-first; return ``(nodes, finished)``.
 
     A node makes each child's move, yields the child's node and undoes the
-    move when resumed.  Every node entered counts, the root included.  The
-    walk stops once the count passes ``node_limit`` or, checked every 1,024
-    nodes, once ``time.monotonic()`` passes ``deadline``.
+    move when resumed.  A child yielded as ``None`` is a node that ends
+    where it starts (a child its parent has pruned, or a leaf): it is
+    counted but not pushed, and the walk goes straight on with the same
+    parent.  Every node counts, the root included.  The walk stops once the
+    count passes ``node_limit`` or, checked every 1,024 nodes, once
+    ``time.monotonic()`` passes ``deadline``; a parent is not resumed after
+    the child that stops it.
     """
+    if node_limit < 1:  # the root alone passes the limit
+        return 1, False
+    # The next count at which a limit may stop the walk.
+    check = min(1024, node_limit + 1)
     nodes, stack = 1, [root]
-    while stack and nodes <= node_limit:
+    while stack:
         for child in stack[-1]:
             nodes += 1
-            if nodes % 1024 == 0 and time.monotonic() > deadline:
-                return nodes, False
-            stack.append(child)
-            break
+            if nodes >= check:
+                if nodes > node_limit or time.monotonic() > deadline:
+                    return nodes, False
+                check = min(nodes + 1024, node_limit + 1)
+            if child is not None:
+                stack.append(child)
+                break
         else:
             stack.pop()
-    return nodes, nodes <= node_limit
+    return nodes, True
 
 
 @dataclass(frozen=True)
@@ -222,10 +235,13 @@ def _exact_search(
     subtrees) or into a single fresh bin.  Every packing needs at least
     ``floor`` bins, the larger of the volume bound and the cardinality
     bound ``ceil(n / (capacity // smallest weight))``.  A node is pruned
-    when ``max(open bins, floor)`` reaches the incumbent.  A trail
-    records each item's bin, and the bins are built only when a leaf
-    improves the incumbent.  Each node is an ``expand`` generator driven
-    by :func:`depth_first`.
+    when ``max(open bins, floor)`` reaches the incumbent.  The parent makes
+    that test for each child just before yielding it, and yields a pruned
+    child and a leaf as ``None``, a node :func:`depth_first` counts but
+    never builds; the root is tested once before the walk.  A trail records
+    each item's bin, and the bins are built only when a leaf improves the
+    incumbent, as the parent resumes after it.  Each other node is an
+    ``expand`` generator.
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]
@@ -236,39 +252,40 @@ def _exact_search(
     best_count = start.bin_count
     best_bins: Sequence[Sequence[int]] = start.bins
 
-    loads: list[int] = []
+    loads = [0] * n  # bins k and beyond are empty
     where = [0] * n  # where[idx]: the bin of the item placed at depth idx
 
-    def expand(idx: int) -> Iterator:
+    def expand(idx: int, k: int) -> Iterator:
+        # The node after depth idx - 1 with k open bins; it passed its test.
         nonlocal best_count, best_bins
-        k = len(loads)
-        if idx == n:
-            if k < best_count:
-                best_count = k
-                best_bins = [[] for _ in range(k)]
-                for item, b in zip(order, where):
-                    best_bins[b].append(item)
-            return
-        if k >= best_count or floor >= best_count:
-            return
         w = weights[idx]
         room = cap - w
+        leaves = idx + 1 == n  # the children are full packings
         seen: set[int] = set()
-        for b in range(k):
+        for b in range(k + 1):  # bin k is the fresh one
             load = loads[b]
             if load > room or load in seen:
                 continue
             seen.add(load)
-            loads[b] = load + w
+            count = k + (b == k)
+            if count >= best_count or floor >= best_count:
+                yield None
+                continue
             where[idx] = b
-            yield expand(idx + 1)
+            if leaves:
+                # Improves the incumbent; recorded only if the walk resumes.
+                yield None
+                best_count = count
+                best_bins = [[] for _ in range(count)]
+                for item, bin_ in zip(order, where):
+                    best_bins[bin_].append(item)
+                continue
+            loads[b] = load + w
+            yield expand(idx + 1, count)
             loads[b] = load
-        loads.append(w)
-        where[idx] = k
-        yield expand(idx + 1)
-        loads.pop()
 
-    nodes, finished = depth_first(expand(0), node_limit)
+    root = expand(0, 0) if floor < best_count else iter(())
+    nodes, finished = depth_first(root, node_limit)
     if not finished:
         # The root bound is the only lower bound still valid for the
         # abandoned part of the tree.

@@ -217,6 +217,8 @@ def _cmd_emit_model(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     name, solution = read_solution(args.solution)
+    # A trivial instance's packing can be checked; invalid data cannot.
+    require_valid(inst, override=True)
     report = check_feasible(inst, solution)
     if not report.ok:
         for violation in report.violations:

@@ -137,10 +137,16 @@ def branch_and_bound(
     leaf improves the incumbent.  The incumbent starts from the
     constructive heuristic, which also validates the instance; on a
     trivial instance (allowed only with ``override_validation``) that is
-    the optimal one-bin packing.  Each node is an ``expand`` generator
-    driven by :func:`bpps.bpp.depth_first`, which counts the nodes and
-    applies both limits.  When a limit is hit the incumbent and the root
-    bound are returned with status ``limit-reached``.
+    the optimal one-bin packing.  A node is pruned when the bound of its
+    partial packing reaches the incumbent.  The parent makes that test for
+    each child just before yielding it, from the child's own increments,
+    and yields a pruned child and a leaf as ``None``; the root is tested
+    once before the walk.  A leaf that improves the incumbent is recorded
+    as the parent resumes after it.  Each other node is an ``expand``
+    generator.  :func:`bpps.bpp.depth_first` drives them, counts every
+    node, built or not, and applies both limits.  When a limit is hit the
+    incumbent and the root bound are returned with status
+    ``limit-reached``.
     """
     best_solution, trace = cha(
         inst, BPP_HEURISTIC, override_validation=override_validation
@@ -174,30 +180,31 @@ def branch_and_bound(
     deadline = time.monotonic() + time_limit
 
     def expand(idx: int, k: int) -> Iterator:
+        # The node after depth idx - 1 with k open bins; it passed its test.
         nonlocal best_cost, best_solution, sum_s, sum_f
-        if idx == n:
-            # A full packing has every class active in at least gamma_c
-            # bins, so sum_f is its setup cost.
-            cost = r * k + sum_f
-            if cost < best_cost:
-                best_cost = cost
-                bins: list[list[int]] = [[] for _ in range(k)]
-                for i, b in zip(order, where):
-                    bins[b].append(i)
-                best_solution = Solution(tuple(map(frozenset, bins)))
-            return
-        # Valid lower bound on any completion of the current partial
-        # packing: a class already active in a bins stays active there and
-        # must end active in at least max(a, gamma_c) bins, so setup cost
-        # is at least sum_f and, summing the capacity constraint over all
-        # used bins, total bins K satisfy K * d >= total_weight + sum_s;
-        # K also cannot drop below the k bins already open.  With no items
-        # assigned this is exactly r * k_lower + sum gamma_c f_c = zeta_ddag,
-        # the lower bound returned when a limit stops the search.
-        k_min = -(-(total_weight + sum_s) // d)  # ceil_div, inlined at every node
-        if r * (k if k > k_min else k_min) + sum_f >= best_cost:
-            return
         add_active, add_fresh, c, bit, gc, s, fc = rows[idx]
+        leaves = idx + 1 == n  # the children are full packings
+        # Valid lower bound on any completion of a partial packing: a class
+        # already active in a bins stays active there and must end active
+        # in at least max(a, gamma_c) bins, so setup cost is at least sum_f
+        # and, summing the capacity constraint over all used bins, total
+        # bins K satisfy K * d >= total_weight + sum_s; K also cannot drop
+        # below the bins already open.  On a full packing, where every
+        # class is active in at least gamma_c bins, it is the packing's
+        # cost r * K + sum_f.  Each child's bound is computed here: into a
+        # bin where class c is active, into an open bin where it is not,
+        # and into the fresh bin k.  A fresh placement adds s and f_c to
+        # the sums once class c is active in gamma_c bins.
+        k_min = -(-(total_weight + sum_s) // d)  # ceil_div, inlined
+        lb_active = r * (k if k > k_min else k_min) + sum_f
+        if act_count[c] >= gc:
+            k_min = -(-(total_weight + sum_s + s) // d)
+            f = sum_f + fc
+            lb_fresh = r * (k if k > k_min else k_min) + f
+        else:
+            f = sum_f
+            lb_fresh = lb_active
+        lb_new = r * (k + 1 if k >= k_min else k_min) + f
         seen: set[int] = set()
         for b in range(k + 1):  # bin k is the fresh one
             state = states[b]
@@ -206,8 +213,21 @@ def branch_and_bound(
             if new >= full or state in seen:
                 continue
             seen.add(state)
-            states[b] = new
+            lb = (lb_new if b == k else lb_fresh) if fresh else lb_active
+            if lb >= best_cost:
+                yield None
+                continue
             where[idx] = b
+            if leaves:
+                # Improves the incumbent; recorded only if the walk resumes.
+                yield None
+                best_cost = lb
+                bins: list[list[int]] = [[] for _ in range(k + (b == k))]
+                for i, bin_ in zip(order, where):
+                    bins[bin_].append(i)
+                best_solution = Solution(tuple(map(frozenset, bins)))
+                continue
+            states[b] = new
             if fresh:
                 act_count[c] += 1
                 if act_count[c] > gc:
@@ -221,9 +241,11 @@ def branch_and_bound(
                 act_count[c] -= 1
             states[b] = state
 
-    # The bound at the root, zeta_ddag.
+    # The same bound at the root, zeta_ddag, is its test and the lower
+    # bound returned when a limit stops the search.
     root_lb = r * ceil_div(total_weight + sum_s, d) + sum_f
-    nodes, finished = depth_first(expand(0, 0), node_limit, deadline)
+    root = expand(0, 0) if root_lb < best_cost else iter(())
+    nodes, finished = depth_first(root, node_limit, deadline)
     if not finished:
         return ExactResult(
             best_cost, best_solution, STATUS_LIMIT, min(root_lb, best_cost), nodes

@@ -10,6 +10,7 @@ from bpps.bpp import (
     BppInstance,
     NodeLimitExceeded,
     decreasing_order,
+    depth_first,
     exact_beta,
     exact_packing,
     fit_heuristic,
@@ -71,6 +72,48 @@ def eager_heuristic_search(bi: BppInstance, perm_count: int, seed: int):
         if best[0] == floor:
             break
     return best
+
+
+def tree(spec, resumed: list[int]):
+    """A generator node for ``spec``: ``None`` is a counted-only child and a
+    list is a child node with those children.  Each resume is logged."""
+    for child in spec:
+        yield None if child is None else tree(child, resumed)
+        resumed.append(1)
+
+
+class TestDepthFirst:
+    # 1 root, 4 children, 4 grandchildren and 1 great-grandchild: 10 nodes.
+    SPEC = [None, [None, None], None, [[None], None]]
+
+    def test_counts_none_children_as_nodes(self):
+        assert depth_first(tree(self.SPEC, []), 10) == (10, True)
+        assert depth_first(tree([], []), 0) == (1, False)
+        assert depth_first(tree([], []), 1) == (1, True)
+
+    @pytest.mark.parametrize("node_limit", range(10))
+    def test_stops_one_past_the_limit(self, node_limit):
+        assert depth_first(tree(self.SPEC, []), node_limit) == (node_limit + 1, False)
+
+    @pytest.mark.parametrize("node_limit", range(6))
+    def test_a_limit_on_a_none_child_leaves_its_parent_unresumed(self, node_limit):
+        # The root's children are nodes 2..6, all None.
+        resumed: list[int] = []
+        got = depth_first(tree([None] * 5, resumed), node_limit)
+        assert got == (node_limit + 1, False)
+        assert len(resumed) == max(node_limit - 1, 0)
+
+    @pytest.mark.parametrize(
+        "spec, resumes",
+        # Nested: 700 resumes in the first child, 1 in the root, and 320
+        # in the second child before its node 1024 stops the walk.
+        [([None] * 2000, 1022), ([[None] * 700, [None] * 700], 1021)],
+        ids=["flat", "nested"],
+    )
+    def test_deadline_checked_at_node_1024_of_none_children(self, spec, resumes):
+        resumed: list[int] = []
+        assert depth_first(tree(spec, resumed), 10**7, 0.0) == (1024, False)
+        assert len(resumed) == resumes
 
 
 class TestFitHeuristic:

@@ -310,6 +310,8 @@ BAD_INSTANCES = {
     "negative-setup": "3 1 10 1\n0\n-1\n5 1\n5 1\n5 1\n",
     "empty-class": "3 2 10 1\n0 0\n1 1\n5 1\n5 1\n5 1\n",
     "item-plus-setup-above-capacity": "3 1 10 1\n0\n3\n8 1\n5 1\n5 1\n",
+    "zero-capacity-zero-weights": "2 1 0 1\n0\n0\n0 1\n0 1\n",
+    "negative-weight": "2 1 10 1\n0\n1\n-3 1\n3 1\n",
     "trivial": "2 1 10 1\n0\n1\n2 1\n3 1\n",
     "non-ascii": "2 1 10 1\n0\n1\n6 1\n6 1\n# café\n",
     "truncated": "3 1 10 1\n0\n1\n6 1\n",
@@ -318,12 +320,19 @@ UNPARSED = {"non-ascii", "truncated"}
 
 
 @pytest.mark.parametrize("name", BAD_INSTANCES)
-@pytest.mark.parametrize("command", ["bounds", "cha", "solve", "emit-model", "report"])
+@pytest.mark.parametrize(
+    "command", ["bounds", "cha", "solve", "emit-model", "report", "verify"]
+)
 def test_bad_instance_ends_in_an_exit_code(tmp_path, capsys, name, command):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()
     path = inst_dir / f"{name}.txt"
     path.write_text("BPPS 1\n" + BAD_INSTANCES[name], encoding="utf-8")
+    # One bin holding items 1..n, n from the first line of the body.
+    n = int(BAD_INSTANCES[name].split()[0])
+    sol_path = write_solution(
+        "one-bin", Solution((frozenset(range(1, n + 1)),)), tmp_path / "one-bin.sol"
+    )
     argv = {
         "bounds": ["bounds", "--instance", str(path)],
         "cha": ["cha", "--instance", str(path)],
@@ -333,15 +342,17 @@ def test_bad_instance_ends_in_an_exit_code(tmp_path, capsys, name, command):
             "--out", str(tmp_path / "model.lp"),
         ],
         "report": ["report", "--dir", str(inst_dir)],
+        "verify": ["verify", "--instance", str(path), "--solution", str(sol_path)],
     }[command]
     code = main(argv)
     assert code in range(5)
     # Files that do not parse are a file error, and report skips them.
-    # Trivial instances have bounds; every other command rejects them
-    # without --allow-trivial, as it rejects every validation error.
+    # Trivial instances have bounds and a checkable one-bin packing; every
+    # other command rejects them without --allow-trivial, as it rejects
+    # every validation error.
     if name in UNPARSED:
         expected = EXIT_OK if command == "report" else EXIT_IO
-    elif name == "trivial" and command == "bounds":
+    elif name == "trivial" and command in ("bounds", "verify"):
         expected = EXIT_OK
     else:
         expected = EXIT_INFEASIBLE

@@ -387,3 +387,40 @@ def test_class_search_matches_the_recursive_search(node_limit):
             seen["stopped"] += 1
     assert seen["exact"] and seen["stopped"], seen
     assert node_limit < 50 or all(seen.values()), seen
+
+
+#: The largest node limit the every-limit tests try on one instance.
+EVERY_LIMIT_CAP = 400
+
+
+def every_limit(nodes: int) -> range:
+    """Node limits 0, 1, ... up to a search's tree size or the cap."""
+    return range(min(nodes, EVERY_LIMIT_CAP) + 1)
+
+
+def test_branch_and_bound_matches_at_every_node_limit():
+    # A limit can fall on a child its parent has pruned, or on a leaf that
+    # improves the incumbent: neither may change what comes back.
+    cases = stopped = 0
+    for inst in bnb_instances():
+        for node_limit in every_limit(
+            ref_branch_and_bound(inst, EVERY_LIMIT_CAP, math.inf).nodes
+        ):
+            want = ref_branch_and_bound(inst, node_limit, math.inf)
+            assert branch_and_bound(inst, node_limit, math.inf) == want
+            cases += 1
+            stopped += want.status == STATUS_LIMIT
+    assert cases > 4_500 and stopped > 4_500, (cases, stopped)
+
+
+def test_class_search_matches_at_every_node_limit():
+    cases = stopped = 0
+    for bi in class_instances():
+        if ceil_div(bi.n, bi.capacity // min(bi.weights)) > bi.volume_bound():
+            continue
+        for node_limit in every_limit(outcome(ref_exact_search, bi, EVERY_LIMIT_CAP)[-1]):
+            want = outcome(ref_exact_search, bi, node_limit)
+            assert outcome(_exact_search, bi, node_limit) == want
+            cases += 1
+            stopped += not isinstance(want[1], BppPacking)
+    assert cases > 11_500 and stopped > 11_500, (cases, stopped)
