@@ -76,7 +76,6 @@ def _solve(
 def _class_packings(
     inst: Instance,
     mode: str,
-    override_validation: bool,
     node_limit: int,
     perm_count: int,
     seed: int,
@@ -88,7 +87,7 @@ def _class_packings(
     """
     if mode not in BPP_MODES:
         raise ValueError(f"unknown bpp mode {mode!r}")
-    require_valid(inst, override=override_validation)
+    require_valid(inst)
     return [
         _solve(class_bpp(inst, c), mode, node_limit, perm_count, seed + c)
         for c in inst.classes
@@ -99,7 +98,6 @@ def cha(
     inst: Instance,
     bpp_mode: str = BPP_EXACT,
     *,
-    override_validation: bool = False,
     node_limit: int = bpp.DEFAULT_NODE_LIMIT,
     perm_count: int = 50,
     seed: int = 0,
@@ -110,13 +108,11 @@ def cha(
     exact mode a node-limit overrun propagates as
     :class:`~bpps.bpp.NodeLimitExceeded`.  Step 3 scans the bins of the
     multi-bin classes in class order and takes the first with room, so
-    the outcome is deterministic.  A trivial instance, accepted only with
-    ``override_validation``, ends ``step3-unmerged`` with every item in
-    one bin, which is optimal.
+    the outcome is deterministic.  A trivial instance (everything fits
+    one bin) ends ``step3-unmerged`` with every item in one bin, which is
+    optimal.
     """
-    packings = _class_packings(
-        inst, bpp_mode, override_validation, node_limit, perm_count, seed
-    )
+    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
     beta = tuple(p.bin_count for p in packings)
     single = frozenset(c for c in inst.classes if beta[c - 1] == 1)
     outside = [c for c in inst.classes if c not in single]
@@ -179,7 +175,6 @@ def k_upper(
     inst: Instance,
     bpp_mode: str = BPP_EXACT,
     *,
-    override_validation: bool = False,
     node_limit: int = bpp.DEFAULT_NODE_LIMIT,
     perm_count: int = 50,
     seed: int = 0,
@@ -189,7 +184,5 @@ def k_upper(
     Sum over classes of the per-class bin count at residual capacity
     ``d - s_c``, computed exactly or heuristically.
     """
-    packings = _class_packings(
-        inst, bpp_mode, override_validation, node_limit, perm_count, seed
-    )
+    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
     return sum(p.bin_count for p in packings)

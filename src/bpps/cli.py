@@ -67,9 +67,19 @@ def _rational(value: Fraction | int) -> str:
 
 
 def _write_or_print(text: str, out: str | None, what: str) -> None:
-    """Write ``text`` to ``out`` and say so, or write it to stdout."""
+    """Write ``text`` to ``out`` and say so, or write it to stdout.
+
+    ``out`` is an ASCII file; text that is not ASCII is a file error,
+    raised before the file is opened.
+    """
     if out:
-        Path(out).write_text(text, encoding="ascii")
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise FileFormatError(
+                f"cannot write {out}: character {exc.start + 1} is not ASCII"
+            ) from None
+        Path(out).write_bytes(data)
         print(f"wrote {what} to {out}")
     else:
         sys.stdout.write(text)
@@ -127,8 +137,7 @@ def _write_benchmark_instance(cfg: gen.GeneratorConfig, out_dir: Path) -> str:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    # Trivial instances have bounds too; data errors do not.
-    require_valid(inst, override=True)
+    require_valid(inst)
     report = bounds_report(inst)
     print("gamma = " + " ".join(str(g) for g in report.gamma))
     print(f"k_lower = {report.k_lower}")
@@ -140,9 +149,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_cha(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    solution, trace = cha(
-        inst, args.bpp_mode, override_validation=args.allow_trivial
-    )
+    solution, trace = cha(inst, args.bpp_mode)
     print(f"termination = {trace.termination}")
     print("beta = " + " ".join(str(b) for b in trace.beta))
     singles = " ".join(str(c) for c in sorted(trace.single_bin_classes)) or "-"
@@ -173,15 +180,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         method = "brute" if inst.n <= exact.BRUTE_FORCE_MAX_ITEMS else "bnb"
     if method == "brute":
         try:
-            result = exact.brute_force(inst, override_validation=args.allow_trivial)
+            result = exact.brute_force(inst)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     else:
         result = exact.branch_and_bound(
-            inst,
-            node_limit=args.node_limit,
-            time_limit=args.time_limit,
-            override_validation=args.allow_trivial,
+            inst, node_limit=args.node_limit, time_limit=args.time_limit
         )
     print(f"status = {result.status}")
     print(f"psi = {result.psi}")
@@ -200,10 +204,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_emit_model(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     model = milp.build_model(
-        inst,
-        _VARIANT_FLAGS[args.variant],
-        exact_bin_bound=args.exact_kbar,
-        override_validation=args.allow_trivial,
+        inst, _VARIANT_FLAGS[args.variant], exact_bin_bound=args.exact_kbar
     )
     milp.emit_lp_file(model, args.out)
     print(
@@ -217,8 +218,7 @@ def _cmd_emit_model(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     name, solution = read_solution(args.solution)
-    # A trivial instance's packing can be checked; invalid data cannot.
-    require_valid(inst, override=True)
+    require_valid(inst)
     report = check_feasible(inst, solution)
     if not report.ok:
         for violation in report.violations:
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cha", help="run the constructive heuristic")
     p.add_argument("--instance", required=True)
     p.add_argument("--bpp-mode", choices=BPP_MODES, default=BPP_EXACT)
-    p.add_argument("--allow-trivial", action="store_true")
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_cha)
 
@@ -366,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--time-limit", type=_at_least_zero(float, "seconds"), default=exact.DEFAULT_TIME_LIMIT
     )
-    p.add_argument("--allow-trivial", action="store_true")
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_solve)
 
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="size the star variant with exact per-class packing",
     )
-    p.add_argument("--allow-trivial", action="store_true")
     p.set_defaults(func=_cmd_emit_model)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")

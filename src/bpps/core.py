@@ -29,7 +29,7 @@ class BppsError(Exception):
 
 
 class InvalidInstanceError(BppsError):
-    """An operation requires a valid (and non-trivial) instance."""
+    """An operation requires an instance whose data validates."""
 
     def __init__(self, report: ValidationReport) -> None:
         self.report = report
@@ -55,7 +55,6 @@ V_SETUP_COST = "setup-cost"
 V_VALUE_TOO_LARGE = "value-too-large"
 V_ITEM_SETUP_OVERFLOW = "item-setup-overflow"
 V_EMPTY_CLASS = "empty-class"
-V_TRIVIAL = "trivial-instance"
 V_BIN_CAPACITY = "bin-capacity"
 V_EMPTY_BIN = "empty-bin"
 V_ITEM_MISSING = "item-missing"
@@ -89,11 +88,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def without(self, *kinds: str) -> ValidationReport:
-        """Copy of this report with the given violation kinds dropped."""
-        keep = tuple(v for v in self.violations if v.kind not in kinds)
-        return ValidationReport(keep)
 
 
 @dataclass(frozen=True)
@@ -227,8 +221,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
     """Report every violated instance requirement.
 
     Nothing is raised: all problems are collected so callers can decide
-    what to do.  A trivial instance (everything fits one bin) is reported
-    as its own kind so that callers may deliberately override it.
+    what to do.  Only data errors are reported; a trivial instance
+    (everything fits one bin) is valid, and its optimum is that one bin.
     """
     v: list[Violation] = []
     if inst.capacity < 1:
@@ -256,9 +250,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for c in inst.classes:
         if not inst.items_of_class(c):
             v.append(Violation(V_EMPTY_CLASS, c, 0, ">= 1"))
-    total = inst.total_weight + inst.total_setup_weight
-    if total <= inst.capacity:
-        v.append(Violation(V_TRIVIAL, None, total, f"> {inst.capacity}"))
     return ValidationReport(tuple(v))
 
 
@@ -310,15 +301,9 @@ def solution_cost(
     return CostBreakdown(inst.bin_cost * sol.bin_count, setup_total)
 
 
-def require_valid(inst: Instance, *, override: bool = False) -> None:
-    """Raise unless the instance validates cleanly.
-
-    With ``override`` the trivial-instance flag is tolerated but genuine
-    data errors still raise.
-    """
+def require_valid(inst: Instance) -> None:
+    """Raise unless the instance validates cleanly."""
     report = validate_instance(inst)
-    if override:
-        report = report.without(V_TRIVIAL)
     if not report.ok:
         raise InvalidInstanceError(report)
 

@@ -46,10 +46,7 @@ class ExactResult:
 
 
 def brute_force(
-    inst: Instance,
-    max_items: int = BRUTE_FORCE_MAX_ITEMS,
-    *,
-    override_validation: bool = False,
+    inst: Instance, max_items: int = BRUTE_FORCE_MAX_ITEMS
 ) -> ExactResult:
     """Enumerate all set partitions and return the cheapest feasible one.
 
@@ -63,7 +60,7 @@ def brute_force(
         raise ValueError(
             f"brute force limited to {max_items} items, instance has {inst.n}"
         )
-    require_valid(inst, override=override_validation)
+    require_valid(inst)
     d = inst.capacity
     r = inst.bin_cost
     weights, class_of = inst.weights, inst.class_of
@@ -121,8 +118,6 @@ def branch_and_bound(
     inst: Instance,
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
-    *,
-    override_validation: bool = False,
 ) -> ExactResult:
     """Depth-first exact search with the closed-form relaxation as bound.
 
@@ -136,9 +131,9 @@ def branch_and_bound(
     records each item's bin; the bins themselves are built only when a
     leaf improves the incumbent.  The incumbent starts from the
     constructive heuristic, which also validates the instance; on a
-    trivial instance (allowed only with ``override_validation``) that is
-    the optimal one-bin packing.  A node is pruned when the bound of its
-    partial packing reaches the incumbent.  The parent makes that test for
+    trivial instance (everything fits one bin) that is the optimal one-bin
+    packing.  A node is pruned when the bound of its partial packing
+    reaches the incumbent.  The parent makes that test for
     each child just before yielding it, from the child's own increments,
     and yields a pruned child and a leaf as ``None``; the root is tested
     once before the walk.  A leaf that improves the incumbent is recorded
@@ -148,9 +143,7 @@ def branch_and_bound(
     incumbent and the root bound are returned with status
     ``limit-reached``.
     """
-    best_solution, trace = cha(
-        inst, BPP_HEURISTIC, override_validation=override_validation
-    )
+    best_solution, trace = cha(inst, BPP_HEURISTIC)
     best_cost = trace.psi_bar
     d = inst.capacity
     r = inst.bin_cost

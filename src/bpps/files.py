@@ -114,6 +114,13 @@ def read_instance(source: str | Path) -> Instance:
 
 
 def render_solution(name: str, sol: Solution) -> str:
+    """Solution file text; ``name`` must read back as the one word it is.
+
+    An empty name, or one holding whitespace, ``#`` or a non-ASCII
+    character, raises :class:`FileFormatError`.
+    """
+    if name.split() != [name] or "#" in name or not name.isascii():
+        raise FileFormatError(f"solution name {name!r} is not one ASCII word without '#'")
     out = [
         f"{SOLUTION_MAGIC} {FORMAT_VERSION}",
         f"{name} {sol.bin_count}",

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Iterator
 
 from .bounds import ceil_div
-from .core import Instance, validate_instance
+from .core import MAX_VALUE, Instance, validate_instance
 
 GRID_N = (25, 50, 75, 100, 200)
 GRID_M = (5, 10)
@@ -65,8 +65,8 @@ class GeneratorConfig:
     Grid membership of ``n``/``m``/``d`` is enforced unless ``free_form``
     is set; the named item/setup size categories apply either way, so the
     feasibility condition (item fraction + setup fraction <= 1) always
-    holds.  ``d`` must leave a positive integer item weight and an
-    integer setup weight in the scaled ranges.
+    holds.  ``d`` must be at most ``MAX_VALUE`` and leave a positive
+    integer item weight and an integer setup weight in the scaled ranges.
     """
 
     n: int
@@ -94,6 +94,8 @@ class GeneratorConfig:
                 raise ValueError(f"m = {self.m} outside the grid {GRID_M}")
             if self.d not in GRID_D:
                 raise ValueError(f"d = {self.d} outside the grid {GRID_D}")
+        if self.d > MAX_VALUE:
+            raise ValueError(f"d = {self.d} above the largest value {MAX_VALUE}")
         w_lo, w_hi = self.weight_interval()
         if not 1 <= w_lo <= w_hi:
             raise ValueError(f"d = {self.d} leaves no item weight in [{w_lo}, {w_hi}]")

@@ -136,7 +136,6 @@ def build_model(
     inst: Instance,
     variant: str,
     *,
-    override_validation: bool = False,
     exact_bin_bound: bool = False,
 ) -> MilpModel:
     """Build one model variant for the instance.
@@ -147,12 +146,13 @@ def build_model(
     """
     if variant not in MODEL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    require_valid(inst, override=override_validation)
     n, m = inst.n, inst.m
     if variant == VARIANT_STAR:
+        # k_upper validates the instance.
         mode = BPP_EXACT if exact_bin_bound else BPP_HEURISTIC
-        k = k_upper(inst, mode, override_validation=override_validation)
+        k = k_upper(inst, mode)
     else:
+        require_valid(inst)
         k = n
     bins = range(1, k + 1)
     # Name tables up front: the builders below reference each name several

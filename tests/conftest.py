@@ -47,7 +47,8 @@ def random_instance(
             setup_costs=tuple(costs),
             bin_cost=rng.randint(1, 10),
         )
-        if validate_instance(inst).ok:
+        nontrivial = sum(weights) + sum(setups) > d
+        if nontrivial and validate_instance(inst).ok:
             return inst
 
 

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from bpps.bounds import k_lower, zeta_lp_dag
 from bpps.bpp import exact_beta, heuristic_beta
 from bpps.cha import (
@@ -18,9 +16,7 @@ from bpps.cha import (
     k_upper,
 )
 from bpps.core import (
-    V_TRIVIAL,
     Instance,
-    InvalidInstanceError,
     check_feasible,
     solution_cost,
     validate_instance,
@@ -95,18 +91,6 @@ class TestTerminations:
         assert solution_cost(inst, solution).total == trace.psi_bar
         assert solution.bin_count == 2
 
-    def test_trivial_case_raises(self):
-        inst = Instance(
-            weights=(1, 1),
-            capacity=10,
-            class_of=(1, 2),
-            setup_weights=(1, 1),
-            setup_costs=(0, 0),
-            bin_cost=1,
-        )
-        with pytest.raises(InvalidInstanceError):
-            cha(inst, BPP_EXACT)
-
     def test_trivial_instance_ends_in_one_optimal_bin(self):
         rng = random.Random(59)
         for _ in range(60):
@@ -124,15 +108,15 @@ class TestTerminations:
                 setup_costs=tuple(rng.randint(0, 5) for _ in range(m)),
                 bin_cost=rng.randint(1, 10),
             )
-            assert {v.kind for v in validate_instance(inst).violations} == {V_TRIVIAL}
-            oracle = brute_force(inst, override_validation=True)
+            assert validate_instance(inst).ok
+            oracle = brute_force(inst)
             assert oracle.psi == inst.bin_cost + sum(inst.setup_costs)
             for mode in (BPP_EXACT, BPP_HEURISTIC):
-                solution, trace = cha(inst, mode, override_validation=True)
+                solution, trace = cha(inst, mode)
                 assert trace.termination == TERM_STEP3_UNMERGED
                 assert solution.bins == (frozenset(inst.items),)
                 assert trace.psi_bar == oracle.psi
-            result = branch_and_bound(inst, override_validation=True)
+            result = branch_and_bound(inst)
             assert result.status == STATUS_OPTIMAL
             assert result.solution.bin_count == 1
             assert result.psi == oracle.psi
@@ -175,7 +159,7 @@ class TestKUpper:
 
     def test_single_class_single_bin(self):
         inst = Instance((2, 2), 10, (1, 1), (3,), (0,), 1)
-        assert k_upper(inst, BPP_EXACT, override_validation=True) == 1
+        assert k_upper(inst, BPP_EXACT) == 1
 
     def test_matches_per_class_reference_and_cha_beta(self):
         # The per-class loop k_upper ran before it shared cha's step 1.

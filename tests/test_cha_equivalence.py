@@ -78,7 +78,7 @@ def ref_cha(
     """
     if bpp_mode not in BPP_MODES:
         raise ValueError(f"unknown bpp mode {bpp_mode!r}")
-    require_valid(inst, override=override_validation)
+    require_valid(inst)
 
     r = inst.bin_cost
     f = inst.setup_costs

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from bpps.cli import (
@@ -8,11 +12,13 @@ from bpps.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from bpps.cha import BPP_MODES, k_upper
 from bpps.core import Instance, Solution
 from bpps.files import read_instance, render_instance, write_instance, write_solution
+from bpps.milp import parse_lp_file
 from conftest import count_feasibility_checks, fig1_instance
 
 
@@ -146,9 +152,7 @@ def test_cha_k_upper_matches_k_upper(tmp_path, capsys, mode):
 def test_cha_allow_trivial_packs_one_bin(tmp_path, capsys):
     path = tmp_path / "trivial.txt"
     write_instance(Instance((1, 2, 3), 20, (1, 2, 2), (2, 1), (3, 4), 10), path)
-    assert main(["cha", "--instance", str(path)]) == EXIT_INFEASIBLE
-    capsys.readouterr()
-    assert main(["cha", "--allow-trivial", "--instance", str(path)]) == EXIT_OK
+    assert main(["cha", "--instance", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "termination = step3-unmerged\n" in out
     assert "psi_bar = 17\n" in out
@@ -271,6 +275,11 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         ["solve", "--time-limit", "nan", "--instance", "inst.txt"],
         ["solve", "--time-limit", "-1", "--instance", "inst.txt"],
         ["solve", "--node-limit", "-1", "--instance", "inst.txt"],
+        ["gen", "--free-form", "--d", "3000000000"],
+        ["cha", "--allow-trivial", "--instance", "inst.txt"],
+        ["solve", "--allow-trivial", "--instance", "inst.txt"],
+        ["emit-model", "--allow-trivial", "--instance", "inst.txt", "--variant", "n",
+         "--out", "model.lp"],
     ],
     ids=[
         "prop2-n-below-2",
@@ -283,6 +292,10 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         "time-limit-nan",
         "time-limit-negative",
         "node-limit-negative",
+        "gen-capacity-above-max-value",
+        "cha-allow-trivial",
+        "solve-allow-trivial",
+        "emit-model-allow-trivial",
     ],
 )
 def test_out_of_range_input_is_usage_error(tmp_path, capsys, args):
@@ -291,7 +304,8 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, args):
         ["gen", "--n", "25", "--m", "5", "--d", "200", "--seed", "3", "--out", str(inst_path)]
     ) == EXIT_OK
     capsys.readouterr()
-    args = [str(inst_path) if a == "inst.txt" else a for a in args]
+    paths = {"inst.txt": str(inst_path), "model.lp": str(tmp_path / "model.lp")}
+    args = [paths.get(a, a) for a in args]
     assert main(args) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -300,9 +314,8 @@ def test_out_of_range_input_is_usage_error(tmp_path, capsys, args):
     assert "Traceback" not in captured.err
 
 
-# Instance files that are well formed but fail validation, one trivial
-# instance, and two files that do not parse.  Each body follows the
-# "BPPS 1" header line.
+# Instance files that are well formed but fail validation, and two files
+# that do not parse.  Each body follows the "BPPS 1" header line.
 BAD_INSTANCES = {
     "setup-at-capacity": "2 1 10 1\n0\n10\n3 1\n4 1\n",
     "zero-capacity": "2 1 0 1\n0\n0\n1 1\n1 1\n",
@@ -312,14 +325,16 @@ BAD_INSTANCES = {
     "item-plus-setup-above-capacity": "3 1 10 1\n0\n3\n8 1\n5 1\n5 1\n",
     "zero-capacity-zero-weights": "2 1 0 1\n0\n0\n0 1\n0 1\n",
     "negative-weight": "2 1 10 1\n0\n1\n-3 1\n3 1\n",
-    "trivial": "2 1 10 1\n0\n1\n2 1\n3 1\n",
     "non-ascii": "2 1 10 1\n0\n1\n6 1\n6 1\n# café\n",
     "truncated": "3 1 10 1\n0\n1\n6 1\n",
 }
 UNPARSED = {"non-ascii", "truncated"}
+# A trivial instance (everything fits one bin) is no bad instance; it
+# rides along to show that every command answers it.
+EXIT_CODE_CASES = {**BAD_INSTANCES, "trivial": "2 1 10 1\n0\n1\n2 1\n3 1\n"}
 
 
-@pytest.mark.parametrize("name", BAD_INSTANCES)
+@pytest.mark.parametrize("name", EXIT_CODE_CASES)
 @pytest.mark.parametrize(
     "command", ["bounds", "cha", "solve", "emit-model", "report", "verify"]
 )
@@ -327,9 +342,9 @@ def test_bad_instance_ends_in_an_exit_code(tmp_path, capsys, name, command):
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()
     path = inst_dir / f"{name}.txt"
-    path.write_text("BPPS 1\n" + BAD_INSTANCES[name], encoding="utf-8")
+    path.write_text("BPPS 1\n" + EXIT_CODE_CASES[name], encoding="utf-8")
     # One bin holding items 1..n, n from the first line of the body.
-    n = int(BAD_INSTANCES[name].split()[0])
+    n = int(EXIT_CODE_CASES[name].split()[0])
     sol_path = write_solution(
         "one-bin", Solution((frozenset(range(1, n + 1)),)), tmp_path / "one-bin.sol"
     )
@@ -347,14 +362,126 @@ def test_bad_instance_ends_in_an_exit_code(tmp_path, capsys, name, command):
     code = main(argv)
     assert code in range(5)
     # Files that do not parse are a file error, and report skips them.
-    # Trivial instances have bounds and a checkable one-bin packing; every
-    # other command rejects them without --allow-trivial, as it rejects
-    # every validation error.
     if name in UNPARSED:
         expected = EXIT_OK if command == "report" else EXIT_IO
-    elif name == "trivial" and command in ("bounds", "verify"):
+    elif name == "trivial":
         expected = EXIT_OK
     else:
         expected = EXIT_INFEASIBLE
     assert code == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+# r = 10 and f = 3 4: the one-bin optimum costs r + sum f_c = 17.
+TRIVIAL = Instance((1, 2, 3), 20, (1, 2, 2), (2, 1), (3, 4), 10)
+ONE_BIN = "bins:\n  1: 1 2 3\n"
+TRIVIAL_ANSWERS = {
+    "bounds": (["bounds"], ["k_lower = 1\n", "zeta_ddag = 17 (17.00)\n"]),
+    "cha-exact": (
+        ["cha", "--bpp-mode", "exact"],
+        ["termination = step3-unmerged\n", "psi_bar = 17\n", ONE_BIN],
+    ),
+    "cha-heuristic": (
+        ["cha", "--bpp-mode", "heuristic"],
+        ["termination = step3-unmerged\n", "psi_bar = 17\n", ONE_BIN],
+    ),
+    "solve-auto": (["solve"], ["status = optimal\n", "psi = 17\n", ONE_BIN]),
+    "solve-bnb": (
+        ["solve", "--method", "bnb"],
+        ["status = optimal\n", "psi = 17\n", "nodes = 1\n", ONE_BIN],
+    ),
+    "solve-brute": (["solve", "--method", "brute"], ["status = optimal\n", "psi = 17\n", ONE_BIN]),
+    "emit-model-n": (["emit-model", "--variant", "n"], ["variant N (k=3, "]),
+    "emit-model-dag": (["emit-model", "--variant", "dag"], ["variant DAG (k=3, "]),
+    "emit-model-ddag": (["emit-model", "--variant", "ddag"], ["variant DDAG (k=3, "]),
+    "emit-model-star": (["emit-model", "--variant", "star"], ["variant STAR (k=2, "]),
+    "verify": (
+        ["verify"],
+        ["trivial: feasible\n", "psi = 17 (bins 10 + setups 7)\n", "bins = 1\n"],
+    ),
+    "report": (["report"], ["trivial,3,2,20,10,1,2,23/2,23/2,17,17,1,3,2,45,550/17,550/17,0\n"]),
+}
+
+
+@pytest.mark.parametrize("case", TRIVIAL_ANSWERS)
+def test_trivial_instance_is_answered_by_every_command(tmp_path, capsys, case):
+    argv, answers = TRIVIAL_ANSWERS[case]
+    path = write_instance(TRIVIAL, tmp_path / "trivial.txt")
+    sol_path = write_solution(
+        "trivial", Solution((frozenset(TRIVIAL.items),)), tmp_path / "trivial.sol"
+    )
+    lp_path = tmp_path / "model.lp"
+    argv = argv + {
+        "report": ["--dir", str(tmp_path)],
+        "verify": ["--instance", str(path), "--solution", str(sol_path)],
+        "emit-model": ["--instance", str(path), "--out", str(lp_path)],
+    }.get(argv[0], ["--instance", str(path)])
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    for answer in answers:
+        assert answer in out
+    if argv[0] == "emit-model":
+        # The one-bin packing meets every row of the model and costs 17.
+        model = parse_lp_file(lp_path)
+        ones = {"x_1_1", "x_2_1", "x_3_1", "y_1_1", "y_2_1", "z_1"}
+
+        def value(terms):
+            return sum(a for name, a in terms if name in ones)
+
+        assert value(model.objective) == 17
+        for row in model.rows:
+            lhs = value(row.terms)
+            met = {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "=": lhs == row.rhs}
+            assert met[row.sense], row.name
+
+
+@pytest.mark.parametrize(
+    "stem", ["we ird", "a#b", " lead", "café"], ids=["space", "hash", "leading-space", "non-ascii"]
+)
+@pytest.mark.parametrize("command", ["cha", "solve"])
+def test_out_name_that_would_not_read_back_is_a_file_error(tmp_path, capsys, command, stem):
+    path = write_instance(fig1_instance(), tmp_path / f"{stem}.txt")
+    sol_path = tmp_path / "out.sol"
+    assert main([command, "--instance", str(path), "--out", str(sol_path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("file error: solution name ")
+    assert err.count("\n") == 1
+    assert not sol_path.exists()
+
+
+def test_report_out_of_non_ascii_text_is_a_file_error(fig1_file, tmp_path, capsys):
+    write_instance(fig1_instance(), tmp_path / "café.txt")
+    out_path = tmp_path / "results.csv"
+    assert main(["report", "--dir", str(tmp_path), "--out", str(out_path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"file error: cannot write {out_path}: ")
+    assert captured.err.count("\n") == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("BPPS-SOL 1\nfig1_r10 2\n1 2 3 4 5 6 7 8\n", EXIT_IO),
+        ("BPPS-SOL 1\nfig1_r10 1\n1 2 3 4 5 6 7 8\n", EXIT_INFEASIBLE),
+    ],
+    ids=["unparsed", "infeasible"],
+)
+def test_report_sibling_solution_must_parse_and_be_feasible(fig1_file, capsys, text, code):
+    fig1_file.with_suffix(".sol").write_text(text, encoding="ascii")
+    assert main(["report", "--dir", str(fig1_file.parent)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_every_flag_in_the_readme_cli_section_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert flags
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for parser in sub.choices.values() for flag in parser._option_string_actions}
+    assert sorted(flags - accepted) == []

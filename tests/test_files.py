@@ -80,3 +80,25 @@ def test_solution_format_errors():
 def test_solution_item_listed_twice_in_a_bin():
     with pytest.raises(FileFormatError, match="^bin 2 lists item 3 more than once$"):
         parse_solution("BPPS-SOL 1\nname 2\n1 2\n3 4 3\n")
+
+
+@pytest.mark.parametrize(
+    "name", ["fig1", "bpps_n25_m5_d200_costs_small_small_s0", "a.b-c", "x"]
+)
+def test_solution_name_round_trip(name):
+    sol = Solution((frozenset({1, 2}), frozenset({3})))
+    assert parse_solution(render_solution(name, sol)) == (name, sol)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["we ird", "a#b", " lead", "café", "", "tab\there", "new\nline", "sep\x1cx"],
+    ids=["space", "hash", "leading-space", "non-ascii", "empty", "tab", "newline", "file-sep"],
+)
+def test_solution_name_that_would_not_read_back_raises(tmp_path, name):
+    sol = Solution((frozenset({1}),))
+    with pytest.raises(FileFormatError, match="^solution name "):
+        render_solution(name, sol)
+    with pytest.raises(FileFormatError):
+        write_solution(name, sol, tmp_path / "out.sol")
+    assert not (tmp_path / "out.sol").exists()

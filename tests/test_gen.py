@@ -100,6 +100,7 @@ class TestBenchmark:
         assert len(set(names)) == 480
         for cfg, inst in benchmark_480:
             assert validate_instance(inst).ok
+            assert inst.total_weight + inst.total_setup_weight > inst.capacity
             assert parse_instance_name(instance_name(cfg)) == cfg
 
     def test_name_pattern(self):

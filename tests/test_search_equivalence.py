@@ -135,7 +135,7 @@ def ref_branch_and_bound(
     hit the incumbent and the root bound are returned with status
     ``limit-reached``.
     """
-    require_valid(inst, override=override_validation)
+    require_valid(inst)
     d = inst.capacity
     r = inst.bin_cost
     n, m = inst.n, inst.m
@@ -143,9 +143,7 @@ def ref_branch_and_bound(
     g = gamma(inst)
     total_weight = inst.total_weight
 
-    best_solution, trace = cha(
-        inst, BPP_HEURISTIC, override_validation=override_validation
-    )
+    best_solution, trace = cha(inst, BPP_HEURISTIC)
     best_cost = trace.psi_bar
     order = sorted(inst.items, key=lambda i: (-inst.weight(i), i))
 
