@@ -55,11 +55,8 @@ def gamma(inst: Instance) -> tuple[int, ...]:
     d = inst.capacity
     out = []
     for c in inst.classes:
-        residual = d - inst.setup_weights[c - 1]
-        if residual <= 0:
-            # w_i >= 1 and w_i + s_c <= d force s_c <= d - 1 on valid data.
-            raise ValueError(f"class {c} setup weight >= capacity")
-        out.append(ceil_div(inst.class_weight(c), residual))
+        # A valid instance has w_i >= 1 and w_i + s_c <= d, so d - s_c >= 1.
+        out.append(ceil_div(inst.class_weight(c), d - inst.setup_weights[c - 1]))
     return tuple(out)
 
 

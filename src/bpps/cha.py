@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bpp
-from .core import Instance, Solution, bin_load, require_valid
+from .core import Instance, Solution, bin_load
 
 BPP_EXACT = "exact"
 BPP_HEURISTIC = "heuristic"
@@ -82,12 +82,11 @@ def _class_packings(
 ) -> list[bpp.BppPacking]:
     """Step 1, shared by :func:`cha` and :func:`k_upper`.
 
-    Checks the mode and the instance, then packs each class alone at
-    capacity ``d - s_c``, class ``c`` with seed ``seed + c``.
+    Packs each class alone at capacity ``d - s_c``, class ``c`` with seed
+    ``seed + c``.
     """
     if mode not in BPP_MODES:
         raise ValueError(f"unknown bpp mode {mode!r}")
-    require_valid(inst)
     return [
         _solve(class_bpp(inst, c), mode, node_limit, perm_count, seed + c)
         for c in inst.classes
@@ -110,7 +109,8 @@ def cha(
     multi-bin classes in class order and takes the first with room, so
     the outcome is deterministic.  A trivial instance (everything fits
     one bin) ends ``step3-unmerged`` with every item in one bin, which is
-    optimal.
+    optimal.  ``inst`` is valid by construction (``d - s_c >= w_i >= 1``
+    for every item), so every step-1 subproblem has room for its items.
     """
     packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
     beta = tuple(p.bin_count for p in packings)

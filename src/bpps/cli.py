@@ -23,16 +23,17 @@ from .core import (
     InvalidInstanceError,
     Solution,
     check_feasible,
-    require_valid,
     solution_cost,
 )
 from .bpp import NodeLimitExceeded
 from .bounds import format_decimal, format_fraction
 from .files import (
     FileFormatError,
+    check_solution_name,
     read_instance,
     read_solution,
     render_instance,
+    write_ascii,
     write_instance,
     write_solution,
 )
@@ -67,22 +68,24 @@ def _rational(value: Fraction | int) -> str:
 
 
 def _write_or_print(text: str, out: str | None, what: str) -> None:
-    """Write ``text`` to ``out`` and say so, or write it to stdout.
-
-    ``out`` is an ASCII file; text that is not ASCII is a file error,
-    raised before the file is opened.
-    """
+    """Write ``text`` to the ASCII file ``out`` and say so, or to stdout."""
     if out:
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise FileFormatError(
-                f"cannot write {out}: character {exc.start + 1} is not ASCII"
-            ) from None
-        Path(out).write_bytes(data)
+        write_ascii(text, out)
         print(f"wrote {what} to {out}")
     else:
         sys.stdout.write(text)
+
+
+def _out_name(args: argparse.Namespace) -> str | None:
+    """The solution name ``--out`` will carry, checked before any search."""
+    return check_solution_name(Path(args.instance).stem) if args.out else None
+
+
+def _write_out(args: argparse.Namespace, name: str | None, sol: Solution) -> None:
+    """Write ``sol`` under the ``_out_name`` result to ``--out``, if given."""
+    if args.out:
+        write_solution(name, sol, args.out)
+        print(f"wrote solution to {args.out}")
 
 
 def _print_bins(sol: Solution) -> None:
@@ -136,9 +139,7 @@ def _write_benchmark_instance(cfg: gen.GeneratorConfig, out_dir: Path) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    inst = read_instance(args.instance)
-    require_valid(inst)
-    report = bounds_report(inst)
+    report = bounds_report(read_instance(args.instance))
     print("gamma = " + " ".join(str(g) for g in report.gamma))
     print(f"k_lower = {report.k_lower}")
     print(f"zeta_n = {_rational(report.zeta_n)}")
@@ -149,6 +150,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_cha(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
+    name = _out_name(args)
     solution, trace = cha(inst, args.bpp_mode)
     print(f"termination = {trace.termination}")
     print("beta = " + " ".join(str(b) for b in trace.beta))
@@ -167,14 +169,13 @@ def _cmd_cha(args: argparse.Namespace) -> int:
         f"{relation} psi_bar = {trace.psi_bar}{note}"
     )
     _print_bins(solution)
-    if args.out:
-        write_solution(Path(args.instance).stem, solution, args.out)
-        print(f"wrote solution to {args.out}")
+    _write_out(args, name, solution)
     return EXIT_OK
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
+    name = _out_name(args)
     method = args.method
     if method == "auto":
         method = "brute" if inst.n <= exact.BRUTE_FORCE_MAX_ITEMS else "bnb"
@@ -192,9 +193,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"lower_bound = {result.lower_bound}")
     print(f"nodes = {result.nodes}")
     _print_bins(result.solution)
-    if args.out:
-        write_solution(Path(args.instance).stem, result.solution, args.out)
-        print(f"wrote solution to {args.out}")
+    _write_out(args, name, result.solution)
     if result.status == exact.STATUS_LIMIT:
         print("search limit reached; value is an upper bound", file=sys.stderr)
         return EXIT_LIMIT
@@ -218,7 +217,6 @@ def _cmd_emit_model(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     name, solution = read_solution(args.solution)
-    require_valid(inst)
     report = check_feasible(inst, solution)
     if not report.ok:
         for violation in report.violations:

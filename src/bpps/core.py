@@ -29,7 +29,7 @@ class BppsError(Exception):
 
 
 class InvalidInstanceError(BppsError):
-    """An operation requires an instance whose data validates."""
+    """An :class:`Instance` was built from data that does not validate."""
 
     def __init__(self, report: ValidationReport) -> None:
         self.report = report
@@ -96,9 +96,9 @@ class Instance:
 
     ``weights[i-1]`` is the weight of item ``i`` and ``class_of[i-1]`` its
     class in ``1..m``; ``setup_weights[c-1]`` / ``setup_costs[c-1]`` belong
-    to class ``c``.  Construction only enforces structural consistency
-    (matching lengths, class indices in range) so that value-level problems
-    can be *reported* by :func:`validate_instance` instead of raised.
+    to class ``c``.  An instance is valid once built: structural faults
+    raise :class:`ValueError` and data faults :class:`InvalidInstanceError`
+    (see :func:`validate_instance`), so no consumer checks the data again.
     """
 
     weights: tuple[int, ...]
@@ -138,6 +138,7 @@ class Instance:
         object.__setattr__(
             self, "_class_items", tuple(tuple(v) for v in members)
         )
+        require_valid(self)
 
     @property
     def n(self) -> int:
@@ -220,9 +221,10 @@ def bin_load(inst: Instance, bin_items: Iterable[int]) -> int:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Report every violated instance requirement.
 
-    Nothing is raised: all problems are collected so callers can decide
-    what to do.  Only data errors are reported; a trivial instance
-    (everything fits one bin) is valid, and its optimum is that one bin.
+    Nothing is raised: all problems are collected, in a fixed order, for
+    :func:`require_valid`, which every :class:`Instance` runs as it is
+    built.  Only data errors are reported; a trivial instance (everything
+    fits one bin) is valid, and its optimum is that one bin.
     """
     v: list[Violation] = []
     if inst.capacity < 1:
@@ -302,7 +304,7 @@ def solution_cost(
 
 
 def require_valid(inst: Instance) -> None:
-    """Raise unless the instance validates cleanly."""
+    """The last step of building an :class:`Instance`: raise unless valid."""
     report = validate_instance(inst)
     if not report.ok:
         raise InvalidInstanceError(report)

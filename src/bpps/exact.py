@@ -20,7 +20,7 @@ from typing import Iterator
 from .bounds import ceil_div, gamma
 from .bpp import DEFAULT_NODE_LIMIT, depth_first
 from .cha import BPP_HEURISTIC, cha
-from .core import BppsError, Instance, Solution, require_valid
+from .core import BppsError, Instance, Solution
 
 STATUS_OPTIMAL = "optimal"
 STATUS_LIMIT = "limit-reached"
@@ -60,7 +60,6 @@ def brute_force(
         raise ValueError(
             f"brute force limited to {max_items} items, instance has {inst.n}"
         )
-    require_valid(inst)
     d = inst.capacity
     r = inst.bin_cost
     weights, class_of = inst.weights, inst.class_of
@@ -130,18 +129,17 @@ def branch_and_bound(
     item adds one of two per-depth increments to the state.  A trail
     records each item's bin; the bins themselves are built only when a
     leaf improves the incumbent.  The incumbent starts from the
-    constructive heuristic, which also validates the instance; on a
-    trivial instance (everything fits one bin) that is the optimal one-bin
-    packing.  A node is pruned when the bound of its partial packing
-    reaches the incumbent.  The parent makes that test for
-    each child just before yielding it, from the child's own increments,
-    and yields a pruned child and a leaf as ``None``; the root is tested
-    once before the walk.  A leaf that improves the incumbent is recorded
-    as the parent resumes after it.  Each other node is an ``expand``
-    generator.  :func:`bpps.bpp.depth_first` drives them, counts every
-    node, built or not, and applies both limits.  When a limit is hit the
-    incumbent and the root bound are returned with status
-    ``limit-reached``.
+    constructive heuristic; on a trivial instance (everything fits one
+    bin) that is the optimal one-bin packing.  A node is pruned when the
+    bound of its partial packing reaches the incumbent.  The parent makes
+    that test for each child just before yielding it, from the child's
+    own increments, and yields a pruned child and a leaf as ``None``; the
+    root is tested once before the walk.  A leaf that improves the
+    incumbent is recorded as the parent resumes after it.  Each other node
+    is an ``expand`` generator.  :func:`bpps.bpp.depth_first` drives them,
+    counts every node, built or not, and applies both limits.  When a
+    limit is hit the incumbent and the root bound are returned with status
+    ``limit-reached``.  ``inst`` is valid by construction: no data check.
     """
     best_solution, trace = cha(inst, BPP_HEURISTIC)
     best_cost = trace.psi_bar

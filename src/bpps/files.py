@@ -42,6 +42,19 @@ def _read_text(source: str | Path) -> str:
         raise FileFormatError(f"{source} is not ASCII text") from None
 
 
+def write_ascii(text: str, destination: str | Path) -> Path:
+    """Write ``text`` as ASCII, encoded before the file is opened."""
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise FileFormatError(
+            f"cannot write {destination}: character {exc.start + 1} is not ASCII"
+        ) from None
+    path = Path(destination)
+    path.write_bytes(data)
+    return path
+
+
 def _data_lines(text: str) -> list[str]:
     lines = []
     for raw in text.splitlines():
@@ -65,9 +78,7 @@ def render_instance(inst: Instance, comments: Iterable[str] = ()) -> str:
 def write_instance(
     inst: Instance, destination: str | Path, comments: Iterable[str] = ()
 ) -> Path:
-    path = Path(destination)
-    path.write_text(render_instance(inst, comments), encoding="ascii")
-    return path
+    return write_ascii(render_instance(inst, comments), destination)
 
 
 def parse_instance(text: str) -> Instance:
@@ -113,17 +124,22 @@ def read_instance(source: str | Path) -> Instance:
     return parse_instance(_read_text(source))
 
 
-def render_solution(name: str, sol: Solution) -> str:
-    """Solution file text; ``name`` must read back as the one word it is.
+def check_solution_name(name: str) -> str:
+    """``name``, if it reads back from a solution file as the one word it is.
 
     An empty name, or one holding whitespace, ``#`` or a non-ASCII
     character, raises :class:`FileFormatError`.
     """
     if name.split() != [name] or "#" in name or not name.isascii():
         raise FileFormatError(f"solution name {name!r} is not one ASCII word without '#'")
+    return name
+
+
+def render_solution(name: str, sol: Solution) -> str:
+    """Solution file text; ``name`` passes :func:`check_solution_name`."""
     out = [
         f"{SOLUTION_MAGIC} {FORMAT_VERSION}",
-        f"{name} {sol.bin_count}",
+        f"{check_solution_name(name)} {sol.bin_count}",
     ]
     for items in sol.bins:
         out.append(" ".join(str(i) for i in sorted(items)))
@@ -131,9 +147,7 @@ def render_solution(name: str, sol: Solution) -> str:
 
 
 def write_solution(name: str, sol: Solution, destination: str | Path) -> Path:
-    path = Path(destination)
-    path.write_text(render_solution(name, sol), encoding="ascii")
-    return path
+    return write_ascii(render_solution(name, sol), destination)
 
 
 def parse_solution(text: str) -> tuple[str, Solution]:

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Iterator
 
 from .bounds import ceil_div
-from .core import MAX_VALUE, Instance, validate_instance
+from .core import MAX_VALUE, Instance
 
 GRID_N = (25, 50, 75, 100, 200)
 GRID_M = (5, 10)
@@ -173,18 +173,15 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
         else:
             bin_cost = NO_COSTS_BIN_COST
             costs = [0] * cfg.m
-        inst = Instance(
-            weights=tuple(weights),
-            capacity=cfg.d,
-            class_of=tuple(labels),
-            setup_weights=tuple(setups),
-            setup_costs=tuple(costs),
-            bin_cost=bin_cost,
-        )
         if sum(weights) + sum(setups) > cfg.d:
-            report = validate_instance(inst)
-            if not report.ok:
-                raise RuntimeError(f"generator produced invalid data: {report}")
+            inst = Instance(
+                weights=tuple(weights),
+                capacity=cfg.d,
+                class_of=tuple(labels),
+                setup_weights=tuple(setups),
+                setup_costs=tuple(costs),
+                bin_cost=bin_cost,
+            )
             return GenOutcome(inst, class_redraws, trivial_redraws)
         trivial_redraws += 1
     raise ValueError(

@@ -36,12 +36,8 @@ from .bounds import (
     bounds_report,
 )
 from .cha import BPP_EXACT, BPP_HEURISTIC, k_upper
-from .core import (
-    BppsError,
-    Instance,
-    Solution,
-    require_valid,
-)
+from .core import BppsError, Instance, Solution
+from .files import write_ascii
 
 VARIANT_STAR = "STAR"
 MODEL_VARIANTS = (VARIANT_N, VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR)
@@ -142,17 +138,16 @@ def build_model(
 
     Variants ``N``/``DAG``/``DDAG`` use ``k = n`` candidate bins; ``STAR``
     uses the per-class packing bound, heuristically computed by default
-    (``exact_bin_bound`` switches to exact per-class packing).
+    (``exact_bin_bound`` switches to exact per-class packing).  ``inst``
+    is valid by construction, so no variant checks its data.
     """
     if variant not in MODEL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     n, m = inst.n, inst.m
     if variant == VARIANT_STAR:
-        # k_upper validates the instance.
         mode = BPP_EXACT if exact_bin_bound else BPP_HEURISTIC
         k = k_upper(inst, mode)
     else:
-        require_valid(inst)
         k = n
     bins = range(1, k + 1)
     # Name tables up front: the builders below reference each name several
@@ -283,9 +278,7 @@ def render_lp(model: MilpModel) -> str:
 
 def emit_lp_file(model: MilpModel, destination: str | Path) -> Path:
     """Write the LP text to ``destination`` and return the path."""
-    path = Path(destination)
-    path.write_text(render_lp(model), encoding="ascii")
-    return path
+    return write_ascii(render_lp(model), destination)
 
 
 #: Each sense token maps to one shared string, so parsed rows hold three.

@@ -116,7 +116,6 @@ REPORT_COLUMNS = (
 def report_row(
     name: str, inst: Instance, sol: Solution | None
 ) -> dict[str, str]:
-    # k_upper validates the instance, so it runs before the bounds.
     kbar = k_upper(inst, BPP_HEURISTIC)
     bounds = bounds_report(inst)
     row = {

@@ -27,7 +27,7 @@ from bpps.bounds import (
     zeta_lp_n,
 )
 from bpps.cha import class_bpp
-from bpps.core import Instance
+from bpps.core import V_ITEM_SETUP_OVERFLOW, Instance, InvalidInstanceError
 from bpps.gen import worst_case
 from conftest import random_instance
 
@@ -45,9 +45,13 @@ class TestGamma:
         assert gamma(inst) == (1,)
 
     def test_setup_equal_capacity_guard(self):
-        inst = Instance((1,), 5, (1,), (5,), (0,), 1)
-        with pytest.raises(ValueError):
-            gamma(inst)
+        # d - s_c = 0 would divide by zero in gamma; such data never builds.
+        with pytest.raises(InvalidInstanceError) as caught:
+            Instance((1,), 5, (1,), (5,), (0,), 1)
+        [violation] = caught.value.report.violations
+        assert (violation.kind, violation.index, violation.measured) == (
+            V_ITEM_SETUP_OVERFLOW, 1, 6
+        )
 
 
 class TestClosedForms:

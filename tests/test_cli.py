@@ -16,8 +16,14 @@ from bpps.cli import (
     main,
 )
 from bpps.cha import BPP_MODES, k_upper
-from bpps.core import Instance, Solution
-from bpps.files import read_instance, render_instance, write_instance, write_solution
+from bpps.core import Instance, InvalidInstanceError, Solution
+from bpps.files import (
+    parse_instance,
+    read_instance,
+    render_instance,
+    write_instance,
+    write_solution,
+)
 from bpps.milp import parse_lp_file
 from conftest import count_feasibility_checks, fig1_instance
 
@@ -372,6 +378,61 @@ def test_bad_instance_ends_in_an_exit_code(tmp_path, capsys, name, command):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# (kind, index) of every violation, in report order, for each data-error body.
+BAD_INSTANCE_VIOLATIONS = {
+    "setup-at-capacity": [("item-setup-overflow", 1), ("item-setup-overflow", 2)],
+    "zero-capacity": [
+        ("capacity-value", None),
+        ("item-setup-overflow", 1),
+        ("item-setup-overflow", 2),
+    ],
+    "zero-bin-cost": [("bin-cost", None)],
+    "negative-setup": [("setup-weight", 1)],
+    "empty-class": [("empty-class", 2)],
+    "item-plus-setup-above-capacity": [("item-setup-overflow", 1)],
+    "zero-capacity-zero-weights": [
+        ("capacity-value", None),
+        ("item-weight", 1),
+        ("item-weight", 2),
+    ],
+    "negative-weight": [("item-weight", 1)],
+}
+
+
+@pytest.mark.parametrize("name", [n for n in BAD_INSTANCES if n not in UNPARSED])
+def test_bad_instance_data_is_rejected_when_parsed(name):
+    with pytest.raises(InvalidInstanceError) as caught:
+        parse_instance("BPPS 1\n" + BAD_INSTANCES[name])
+    found = [(v.kind, v.index) for v in caught.value.report.violations]
+    assert found == BAD_INSTANCE_VIOLATIONS[name]
+
+
+# Each command reads the instance first, so invalid data is reported
+# before a bad solution file or a too-large brute-force request.
+@pytest.mark.parametrize(
+    "case", ["verify-unparsed-solution", "report-unparsed-solution", "solve-brute-13-items"]
+)
+def test_invalid_instance_is_reported_before_other_faults(tmp_path, capsys, case):
+    n = 13 if case == "solve-brute-13-items" else 2
+    # Item 1 weighs -3; the others weigh 1.
+    body = f"{n} 1 10 1\n0\n1\n-3 1\n" + "1 1\n" * (n - 1)
+    path = tmp_path / "bad.txt"
+    path.write_text("BPPS 1\n" + body, encoding="ascii")
+    path.with_suffix(".sol").write_text("BPPS-SOL 1\nbad 2\n1 2\n", encoding="ascii")
+    argv = {
+        "verify-unparsed-solution": [
+            "verify", "--instance", str(path), "--solution", str(path.with_suffix(".sol")),
+        ],
+        "report-unparsed-solution": ["report", "--dir", str(tmp_path)],
+        "solve-brute-13-items": ["solve", "--instance", str(path), "--method", "brute"],
+    }[case]
+    assert main(argv) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: invalid instance: item-weight at 1 ")
+    assert captured.err.count("\n") == 1
+
+
 # r = 10 and f = 3 4: the one-bin optimum costs r + sum f_c = 17.
 TRIVIAL = Instance((1, 2, 3), 20, (1, 2, 2), (2, 1), (3, 4), 10)
 ONE_BIN = "bins:\n  1: 1 2 3\n"
@@ -443,9 +504,11 @@ def test_out_name_that_would_not_read_back_is_a_file_error(tmp_path, capsys, com
     path = write_instance(fig1_instance(), tmp_path / f"{stem}.txt")
     sol_path = tmp_path / "out.sol"
     assert main([command, "--instance", str(path), "--out", str(sol_path)]) == EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith("file error: solution name ")
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    # The name is checked before the search, so no answer is printed.
+    assert captured.out == ""
+    assert captured.err.startswith("file error: solution name ")
+    assert captured.err.count("\n") == 1
     assert not sol_path.exists()
 
 

@@ -8,6 +8,7 @@ from bpps.core import (
     MAX_VALUE,
     InfeasibleSolutionError,
     Instance,
+    InvalidInstanceError,
     Solution,
     V_BIN_CAPACITY,
     V_EMPTY_CLASS,
@@ -33,15 +34,16 @@ class TestValidateInstance:
         assert validate_instance(fig1).ok
 
     def test_item_setup_overflow(self, fig1):
-        bad = Instance(
-            weights=fig1.weights,
-            capacity=fig1.capacity,
-            class_of=fig1.class_of,
-            setup_weights=(4, 1),
-            setup_costs=fig1.setup_costs,
-            bin_cost=fig1.bin_cost,
-        )
-        report = validate_instance(bad)
+        with pytest.raises(InvalidInstanceError) as caught:
+            Instance(
+                weights=fig1.weights,
+                capacity=fig1.capacity,
+                class_of=fig1.class_of,
+                setup_weights=(4, 1),
+                setup_costs=fig1.setup_costs,
+                bin_cost=fig1.bin_cost,
+            )
+        report = caught.value.report
         overflow = [v for v in report.violations if v.kind == V_ITEM_SETUP_OVERFLOW]
         assert overflow and overflow[0].index == 1
         assert overflow[0].measured == 7
@@ -59,26 +61,28 @@ class TestValidateInstance:
         assert validate_instance(inst).ok
 
     def test_empty_class_flagged(self):
-        inst = Instance(
-            weights=(3, 3),
-            capacity=4,
-            class_of=(1, 1),
-            setup_weights=(0, 1),
-            setup_costs=(0, 0),
-            bin_cost=1,
-        )
-        assert V_EMPTY_CLASS in kinds(validate_instance(inst))
+        with pytest.raises(InvalidInstanceError) as caught:
+            Instance(
+                weights=(3, 3),
+                capacity=4,
+                class_of=(1, 1),
+                setup_weights=(0, 1),
+                setup_costs=(0, 0),
+                bin_cost=1,
+            )
+        assert V_EMPTY_CLASS in kinds(caught.value.report)
 
     def test_oversized_values_rejected(self):
-        inst = Instance(
-            weights=(MAX_VALUE + 1, 5),
-            capacity=MAX_VALUE + 2,
-            class_of=(1, 1),
-            setup_weights=(0,),
-            setup_costs=(0,),
-            bin_cost=1,
-        )
-        assert V_VALUE_TOO_LARGE in kinds(validate_instance(inst))
+        with pytest.raises(InvalidInstanceError) as caught:
+            Instance(
+                weights=(MAX_VALUE + 1, 5),
+                capacity=MAX_VALUE + 2,
+                class_of=(1, 1),
+                setup_weights=(0,),
+                setup_costs=(0,),
+                bin_cost=1,
+            )
+        assert V_VALUE_TOO_LARGE in kinds(caught.value.report)
 
     def test_structural_errors_raise(self):
         with pytest.raises(ValueError):

@@ -102,3 +102,13 @@ def test_solution_name_that_would_not_read_back_raises(tmp_path, name):
     with pytest.raises(FileFormatError):
         write_solution(name, sol, tmp_path / "out.sol")
     assert not (tmp_path / "out.sol").exists()
+
+
+def test_non_ascii_text_leaves_an_existing_file_as_it_was(tmp_path, fig1):
+    path = write_instance(fig1, tmp_path / "c.txt", ["drawn at noon"])
+    before = path.read_bytes()
+    # "# café": the sixth character is the first that is not ASCII.
+    with pytest.raises(FileFormatError) as caught:
+        write_instance(fig1, path, ["café"])
+    assert str(caught.value) == f"cannot write {path}: character 6 is not ASCII"
+    assert path.read_bytes() == before

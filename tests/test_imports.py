@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and
+instance validation stays in ``core``.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -44,3 +45,39 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: ``Instance`` runs these while it is built; no other module needs them.
+VALIDATORS = {"require_valid", "validate_instance"}
+
+
+def validator_uses(source: str) -> list[str]:
+    """Imports of a validator by name, and attribute reads of one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name in VALIDATORS]
+        elif isinstance(node, ast.Attribute) and node.attr in VALIDATORS:
+            found.append(f"line {node.lineno}: .{node.attr}")
+    return found
+
+
+def test_the_check_sees_a_validator_outside_core():
+    source = (
+        "from .core import Instance, require_valid\n"
+        "from bpps.core import validate_instance as check\n"
+        "from . import core\n"
+        "core.require_valid(inst)\n"
+    )
+    assert validator_uses(source) == [
+        "line 1: require_valid",
+        "line 2: validate_instance",
+        "line 4: .require_valid",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "core"], ids=lambda p: p.stem
+)
+def test_only_core_validates_instances(path):
+    assert validator_uses(path.read_text(encoding="utf-8")) == []
