@@ -124,38 +124,16 @@ class FractionalSolution:
 
     The point is uniform across bins (every item value equals ``x_value``,
     every class-``c`` value equals ``y_values[c-1]``, every bin-use value
-    equals ``z_value``), which is how the optimum is attained.  Per-index
-    accessors expose the full ``(n + m + 1) * k`` coordinates so each
-    constraint row can be checked individually.
+    equals ``z_value``), which is how the optimum is attained, so these
+    values stand for all ``(n + m + 1) * k`` coordinates.
     """
 
     variant: str
     k: int
-    n: int
-    m: int
     x_value: Fraction
     y_values: tuple[Fraction, ...]
     z_value: Fraction
     objective: Fraction
-
-    def x(self, item: int, b: int) -> Fraction:
-        self._check_index(item, self.n, "item")
-        self._check_index(b, self.k, "bin")
-        return self.x_value
-
-    def y(self, c: int, b: int) -> Fraction:
-        self._check_index(c, self.m, "class")
-        self._check_index(b, self.k, "bin")
-        return self.y_values[c - 1]
-
-    def z(self, b: int) -> Fraction:
-        self._check_index(b, self.k, "bin")
-        return self.z_value
-
-    @staticmethod
-    def _check_index(value: int, upper: int, label: str) -> None:
-        if not 1 <= value <= upper:
-            raise IndexError(f"{label} index {value} outside 1..{upper}")
 
 
 def fractional_solution(
@@ -189,8 +167,6 @@ def fractional_solution(
     return FractionalSolution(
         variant=variant,
         k=k,
-        n=inst.n,
-        m=inst.m,
         x_value=x,
         y_values=y,
         z_value=z,

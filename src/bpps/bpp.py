@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .bounds import ceil_div
-from .core import BppsError
+from .core import BppsError, store_integers
 
 RULE_NEXT_FIT = "NF"
 RULE_FIRST_FIT = "FF"
@@ -85,13 +85,13 @@ def depth_first(
 
 @dataclass(frozen=True)
 class BppInstance:
-    """Items with positive integer weights and a single bin capacity."""
+    """Items with positive integer weights and a single integer bin capacity."""
 
     weights: tuple[int, ...]
     capacity: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        store_integers(self, ("weights",), ("capacity",))
         if not self.weights:
             raise ValueError("need at least one item")
         if self.capacity < 1:

@@ -37,7 +37,7 @@ from .files import (
     write_instance,
     write_solution,
 )
-from .milp import LpFormatError, SolutionImportError
+from .milp import LpFormatError
 from .report import REPORT_COLUMNS, collect_report, feature_report, render_csv
 
 EXIT_OK = 0
@@ -269,7 +269,7 @@ def _worstcase_rows(args: argparse.Namespace) -> list[dict[str, str]]:
                     gen.FAMILY_PROP5, n=args.n, theta=value, r=args.r, f1=args.f1
                 )
                 n, theta = args.n, value
-        except ValueError as exc:
+        except (ValueError, InvalidInstanceError) as exc:
             raise UsageError(str(exc)) from exc
         psi = n * (args.r + args.f1)
         report = bounds_report(inst)
@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, LpFormatError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (InvalidInstanceError, InfeasibleSolutionError, SolutionImportError) as exc:
+    except (InvalidInstanceError, InfeasibleSolutionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NodeLimitExceeded as exc:

@@ -15,6 +15,7 @@ reports); positional arrays such as ``weights`` are indexed ``i - 1``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -90,14 +91,30 @@ class ValidationReport:
         return not self.violations
 
 
+def store_integers(obj: object, sequences: tuple[str, ...], scalars: tuple[str, ...]) -> None:
+    """Store the named fields of the frozen ``obj`` as exact ints.
+
+    ``operator.index`` converts, so only integers pass: ``2.7`` and
+    ``6.0`` alike raise :class:`ValueError` naming the field.
+    """
+    try:
+        for name in sequences:
+            object.__setattr__(obj, name, tuple(map(operator.index, getattr(obj, name))))
+        for name in scalars:
+            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+    except TypeError:
+        raise ValueError(f"{name} must be integral") from None
+
+
 @dataclass(frozen=True)
 class Instance:
     """One problem instance.
 
     ``weights[i-1]`` is the weight of item ``i`` and ``class_of[i-1]`` its
     class in ``1..m``; ``setup_weights[c-1]`` / ``setup_costs[c-1]`` belong
-    to class ``c``.  An instance is valid once built: structural faults
-    raise :class:`ValueError` and data faults :class:`InvalidInstanceError`
+    to class ``c``.  An instance is valid once built: structural faults,
+    a value that is not an integer among them, raise :class:`ValueError`
+    and data faults :class:`InvalidInstanceError`
     (see :func:`validate_instance`), so no consumer checks the data again.
     """
 
@@ -112,13 +129,8 @@ class Instance:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "class_of", tuple(int(c) for c in self.class_of))
-        object.__setattr__(
-            self, "setup_weights", tuple(int(s) for s in self.setup_weights)
-        )
-        object.__setattr__(
-            self, "setup_costs", tuple(int(f) for f in self.setup_costs)
+        store_integers(
+            self, ("weights", "class_of", "setup_weights", "setup_costs"), ("capacity", "bin_cost")
         )
         if not self.weights:
             raise ValueError("instance must have at least one item")

@@ -19,6 +19,7 @@ losslessly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -55,7 +56,7 @@ class LpFormatError(BppsError):
 
 
 class SolutionImportError(BppsError):
-    """An imported assignment violates a model relation."""
+    """An imported assignment fails a model row, or the model has another size."""
 
 
 _FAMILY_BY_PREFIX = (
@@ -283,6 +284,8 @@ def emit_lp_file(model: MilpModel, destination: str | Path) -> Path:
 
 #: Each sense token maps to one shared string, so parsed rows hold three.
 _SENSES = {"<=": "<=", ">=": ">=", "=": "="}
+#: The comparison each sense makes between a row's left side and its rhs.
+_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 _SECTIONS = {"minimize": "objective", "subject to": "rows", "binaries": "binaries", "end": None}
 
 _Term = tuple[str, int]
@@ -503,10 +506,14 @@ def import_solution(inst: Instance, model: MilpModel, assignment_text: str) -> S
 
     The text holds ``<variable-name> <value>`` lines; blank lines, lines
     starting with ``#``, and names outside the model are ignored, and
-    missing variables count as 0.  The assignment, bin-use, capacity, and
-    linking relations are re-checked on the imported values; the first
-    violated one is reported by row name.
+    missing variables count as 0.  Every row of the model is evaluated on
+    the imported values, and the first that fails is reported by name and
+    family.  ``inst`` must have the model's ``n`` and ``m``.
     """
+    if (inst.n, inst.m) != (model.n, model.m):
+        raise SolutionImportError(
+            f"model has n = {model.n}, m = {model.m}; instance has n = {inst.n}, m = {inst.m}"
+        )
     known = set(model.variables)
     values: dict[str, int] = {}
     for lineno, raw in enumerate(assignment_text.splitlines(), start=1):
@@ -525,37 +532,15 @@ def import_solution(inst: Instance, model: MilpModel, assignment_text: str) -> S
             raise SolutionImportError(f"line {lineno}: bad value {text_value!r}") from exc
         values[name] = _round_binary(name, value)
 
-    k = model.k
-    bins: list[list[int]] = [[] for _ in range(k)]
+    for row in model.rows:
+        lhs = sum(coeff * values.get(name, 0) for name, coeff in row.terms)
+        if not _HOLDS[row.sense](lhs, row.rhs):
+            raise SolutionImportError(
+                f"{row.family} violated at {row.name}: left side {lhs}, not {row.sense} {row.rhs}"
+            )
+    bins: list[list[int]] = [[] for _ in range(model.k)]
     for i in inst.items:
-        chosen = [b for b in range(1, k + 1) if values.get(var_x(i, b), 0) == 1]
-        if len(chosen) != 1:
-            raise SolutionImportError(
-                f"assignment violated at assign_{i}: item packed {len(chosen)} times"
-            )
-        bins[chosen[0] - 1].append(i)
-
-    for b in range(1, k + 1):
-        items = bins[b - 1]
-        z = values.get(var_z(b), 0)
-        if items and z != 1:
-            raise SolutionImportError(f"capacity violated at cap_{b}: used bin has z = 0")
-        lhs = sum(inst.weight(i) for i in items)
-        lhs += sum(
-            inst.setup_weights[c - 1]
-            for c in inst.classes
-            if values.get(var_y(c, b), 0) == 1
-        )
-        if lhs > inst.capacity * z:
-            raise SolutionImportError(
-                f"capacity violated at cap_{b}: load {lhs} > {inst.capacity * z}"
-            )
-
-    for b in range(1, k + 1):
-        for i in bins[b - 1]:
-            c = inst.item_class(i)
-            if values.get(var_y(c, b), 0) != 1:
-                raise SolutionImportError(
-                    f"linking violated at link_{c}_{i}_{b}: item packed, class inactive"
-                )
+        for b, items in enumerate(bins, start=1):
+            if values.get(var_x(i, b)):
+                items.append(i)
     return Solution(tuple(frozenset(b) for b in bins if b))

@@ -117,13 +117,13 @@ class TestClosedForms:
 class TestFractionalSolution:
     def test_fig1_variant_n(self, fig1):
         fs = fractional_solution(fig1, VARIANT_N, 8)
-        assert fs.x(1, 1) == fs.y(2, 8) == Fraction(1, 8)
-        assert fs.z(3) == Fraction(3, 8)
+        assert fs.x_value == fs.y_values[1] == Fraction(1, 8)
+        assert fs.z_value == Fraction(3, 8)
         assert fs.objective == 35
 
     def test_fig1_variant_ddag(self, fig1):
         fs = fractional_solution(fig1, VARIANT_DDAG, 8)
-        assert fs.z(1) == Fraction(1, 2)
+        assert fs.z_value == Fraction(1, 2)
         assert fs.objective == 49
 
     def test_unit_gamma_collapses_to_variant_n(self):
@@ -136,13 +136,6 @@ class TestFractionalSolution:
     def test_k_below_minimum_rejected(self, fig1):
         with pytest.raises(ValueError):
             fractional_solution(fig1, VARIANT_N, k_lower(fig1) - 1)
-
-    def test_accessor_range_checks(self, fig1):
-        fs = fractional_solution(fig1, VARIANT_N, 8)
-        with pytest.raises(IndexError):
-            fs.x(0, 1)
-        with pytest.raises(IndexError):
-            fs.z(9)
 
 
 class TestVerifyFractional:

@@ -116,6 +116,17 @@ class TestDepthFirst:
         assert len(resumed) == resumes
 
 
+class TestBppInstance:
+    @pytest.mark.parametrize(
+        "weights, capacity, field",
+        [((2.5, 3.9), 6, "weights"), ((2, 3), 6.5, "capacity")],
+        ids=["weights", "capacity"],
+    )
+    def test_value_that_is_not_an_integer_raises(self, weights, capacity, field):
+        with pytest.raises(ValueError, match=f"^{field} must be integral$"):
+            BppInstance(weights, capacity)
+
+
 class TestFitHeuristic:
     def test_forced_one_per_bin(self):
         bi = BppInstance((3, 3, 3, 3), 5)

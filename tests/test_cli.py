@@ -274,6 +274,8 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         ["worstcase", "--family", "prop2", "--sweep", "1:3"],
         ["worstcase", "--family", "prop5", "--sweep", "0:1"],
         ["worstcase", "--family", "prop2", "--sweep", "2:3", "--r", "0"],
+        ["worstcase", "--family", "prop2", "--sweep", "2:3", "--r", "3000000000"],
+        ["worstcase", "--family", "prop5", "--sweep", "1073741823:1073741824"],
         ["solve", "--method", "brute", "--instance", "inst.txt"],
         ["gen", "--free-form", "--n", "5", "--m", "1", "--d", "5"],
         ["gen", "--free-form", "--n", "2", "--m", "1", "--d", "10000"],
@@ -291,6 +293,8 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         "prop2-n-below-2",
         "prop5-theta-below-1",
         "r-zero",
+        "r-above-max-value",
+        "prop5-capacity-above-max-value",
         "brute-25-items",
         "gen-empty-weight-range",
         "gen-always-trivial",

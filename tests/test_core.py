@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -89,6 +90,21 @@ class TestValidateInstance:
             Instance((1, 2), 5, (1,), (0,), (0,), 1)
         with pytest.raises(ValueError):
             Instance((1, 2), 5, (1, 3), (0,), (0,), 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weights", (2.7, 3, 3, 3, 1, 1, 1, 1)),
+            ("capacity", 6.5),
+            ("class_of", (1, 1, 1, 1.5, 2, 2, 2, 2)),
+            ("setup_weights", (1, 1.5)),
+            ("setup_costs", (2, 2.5)),
+            ("bin_cost", 2.5),
+        ],
+    )
+    def test_value_that_is_not_an_integer_raises(self, fig1, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be integral$"):
+            replace(fig1, **{field: value})
 
 
 class TestCheckFeasible:

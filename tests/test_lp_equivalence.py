@@ -7,6 +7,10 @@ that came next: it held the whole text, split it into rows, then parsed
 them, and checked the model.  Every case compares bytes and parsed models:
 the fast paths and the one-pass reader must change nothing but the time
 and memory taken, and the one-pass reader must raise the same errors.
+``ref_import_solution`` is a verbatim copy of the solution import that
+restated the assignment, capacity and linking checks from the instance;
+the import that evaluates the model's rows must return the same packing,
+or raise the same error naming the same row, on points with one fault.
 """
 
 from __future__ import annotations
@@ -16,28 +20,35 @@ import re
 from dataclasses import replace
 from itertools import chain, permutations
 from operator import attrgetter, itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 
-from bpps.core import Instance
+from bpps.core import Instance, Solution
+from bpps.exact import brute_force
 from bpps.milp import (
     MODEL_VARIANTS,
     LpFormatError,
     MilpModel,
     Row,
+    SolutionImportError,
     VARIANT_DDAG,
     VARIANT_N,
     _ROW_PREFIXES,
     _family_of,
+    _round_binary,
     _wrap,
     build_model,
+    import_solution,
     parse_lp,
     parse_lp_file,
     render_lp,
+    var_x,
+    var_y,
+    var_z,
 )
 from conftest import fig1_instance, random_instance
-from test_milp import MALFORMED_LP_EDITS, MALFORMED_LP_IDS
+from test_milp import MALFORMED_LP_EDITS, MALFORMED_LP_IDS, solution_values
 
 _LINE_WIDTH = 78
 
@@ -318,6 +329,69 @@ def two_phase_parse_lp(text: str) -> MilpModel:
     )
 
 
+def ref_import_solution(inst: Instance, model: MilpModel, assignment_text: str) -> Solution:
+    """Rebuild a packing from solver variable values.
+
+    The text holds ``<variable-name> <value>`` lines; blank lines, lines
+    starting with ``#``, and names outside the model are ignored, and
+    missing variables count as 0.  The assignment, bin-use, capacity, and
+    linking relations are re-checked on the imported values; the first
+    violated one is reported by row name.
+    """
+    known = set(model.variables)
+    values: dict[str, int] = {}
+    for lineno, raw in enumerate(assignment_text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise SolutionImportError(f"line {lineno}: expected '<name> <value>'")
+        name, text_value = parts
+        if name not in known:
+            continue
+        try:
+            value = float(text_value)
+        except ValueError as exc:
+            raise SolutionImportError(f"line {lineno}: bad value {text_value!r}") from exc
+        values[name] = _round_binary(name, value)
+
+    k = model.k
+    bins: list[list[int]] = [[] for _ in range(k)]
+    for i in inst.items:
+        chosen = [b for b in range(1, k + 1) if values.get(var_x(i, b), 0) == 1]
+        if len(chosen) != 1:
+            raise SolutionImportError(
+                f"assignment violated at assign_{i}: item packed {len(chosen)} times"
+            )
+        bins[chosen[0] - 1].append(i)
+
+    for b in range(1, k + 1):
+        items = bins[b - 1]
+        z = values.get(var_z(b), 0)
+        if items and z != 1:
+            raise SolutionImportError(f"capacity violated at cap_{b}: used bin has z = 0")
+        lhs = sum(inst.weight(i) for i in items)
+        lhs += sum(
+            inst.setup_weights[c - 1]
+            for c in inst.classes
+            if values.get(var_y(c, b), 0) == 1
+        )
+        if lhs > inst.capacity * z:
+            raise SolutionImportError(
+                f"capacity violated at cap_{b}: load {lhs} > {inst.capacity * z}"
+            )
+
+    for b in range(1, k + 1):
+        for i in bins[b - 1]:
+            c = inst.item_class(i)
+            if values.get(var_y(c, b), 0) != 1:
+                raise SolutionImportError(
+                    f"linking violated at link_{c}_{i}_{b}: item packed, class inactive"
+                )
+    return Solution(tuple(frozenset(b) for b in bins if b))
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -368,6 +442,41 @@ def random_models(seed: int, count: int, **sizes) -> list[MilpModel]:
         for inst in (random_instance(rng, **sizes) for _ in range(count))
         for variant in MODEL_VARIANTS
     ]
+
+
+def imported(inst: Instance, model: MilpModel, text: str) -> Solution | str:
+    """Both imports' outcome: the same solution, or a ``SolutionImportError``
+    with the same message head (the family and row name, or the whole
+    message of a value that is not 0/1)."""
+    outcomes = []
+    for import_ in (import_solution, ref_import_solution):
+        try:
+            outcomes.append(import_(inst, model, text))
+        except SolutionImportError as exc:
+            outcomes.append(str(exc).split(":", 1)[0])
+    assert outcomes[0] == outcomes[1], text
+    return outcomes[0]
+
+
+def single_faults(inst: Instance, model: MilpModel, rng: random.Random) -> Iterator[dict[str, float]]:
+    """The brute-force optimum's values, then copies that each hold one fault."""
+    optimum = brute_force(inst).solution
+    bin_of = {i: b for b, items in enumerate(optimum.bins, start=1) for i in items}
+    values = solution_values(inst, model, optimum)
+    yield values
+    for i, b in bin_of.items():
+        yield {**values, var_x(i, b): 0}
+        other = rng.choice([a for a in range(1, model.k + 1) if a != b])
+        yield {**values, var_x(i, other): 1}
+    for b, items in enumerate(optimum.bins, start=1):
+        for c in sorted({inst.item_class(i) for i in items}):
+            yield {**values, var_y(c, b): 0}
+        yield {**values, var_z(b): 0}
+    yield {**values, rng.choice(model.variables): 0.5}
+
+
+def values_text(values: dict[str, float]) -> str:
+    return "".join(f"{name} {value}\n" for name, value in values.items() if value)
 
 
 # ---------------------------------------------------------------- cases
@@ -541,3 +650,26 @@ def test_file_lines_break_where_splitlines_breaks(tmp_path):
     path = tmp_path / "model.lp"
     path.write_text(edited, encoding="ascii")
     assert parse_lp_file(path) == parse_lp(edited) == two_phase_parse_lp(edited) == model
+
+
+@pytest.mark.parametrize("bin_cost", [1, 10])
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_import_matches_the_reference_on_fig1(bin_cost, variant):
+    inst = fig1_instance(bin_cost)
+    model = build_model(inst, variant)
+    texts = list(map(values_text, single_faults(inst, model, random.Random(bin_cost))))
+    assert imported(inst, model, texts[0]) == brute_force(inst).solution
+    for text in texts[1:]:
+        assert isinstance(imported(inst, model, text), str)
+
+
+def test_import_matches_the_reference_on_random_instances():
+    rng = random.Random(17)
+    for _ in range(60):
+        inst = random_instance(rng)
+        for variant in MODEL_VARIANTS:
+            model = build_model(inst, variant)
+            texts = list(map(values_text, single_faults(inst, model, rng)))
+            assert isinstance(imported(inst, model, texts[0]), Solution)
+            for text in texts[1:]:
+                assert isinstance(imported(inst, model, text), str)

@@ -397,3 +397,19 @@ class TestImportSolution:
         model = build_model(fig1, VARIANT_N)
         with pytest.raises(SolutionImportError, match="not within"):
             import_solution(fig1, model, "x_1_1 0.5\n")
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance((3, 3, 3), 6, (1, 1, 2), (1, 1), (2, 3), 10),
+            Instance((3,) * 9, 6, (1,) * 9, (1,), (2,), 10),
+            Instance((3, 3, 3, 3, 1, 1, 1, 1), 6, (1, 1, 1, 1, 2, 2, 3, 3), (1, 1, 1), (2, 3, 3), 10),
+        ],
+        ids=["fewer-items", "more-items", "more-classes"],
+    )
+    def test_instance_of_another_size_is_refused(self, fig1, inst):
+        model = build_model(fig1, VARIANT_N)
+        text = assignment_text(solution_values(fig1, model, brute_force(fig1).solution))
+        message = f"model has n = 8, m = 2; instance has n = {inst.n}, m = {inst.m}"
+        with pytest.raises(SolutionImportError, match=f"^{message}$"):
+            import_solution(inst, model, text)
