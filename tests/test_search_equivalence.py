@@ -4,9 +4,10 @@
 (renamed) of the recursive ``bpps.exact.branch_and_bound`` and
 ``bpps.bpp._exact_search`` that came before :func:`bpps.bpp.depth_first`.
 Branch-and-bound must match them exactly, node counts included.  The
-per-class search also prunes on the cardinality bound, so it matches
-exactly wherever that bound does not exceed the volume bound; elsewhere it
-must find the same optimum in no more nodes.
+per-class search also prunes on the cardinality bound and on bin room
+lost below the smallest weight, and places equal items in bin order, so
+it must find the same optimum in no more nodes, and a search that stops
+must bracket the optimum the reference proves.
 """
 
 from __future__ import annotations
@@ -357,34 +358,48 @@ def test_branch_and_bound_time_limit_checked_every_1024_nodes():
     assert got == want
 
 
+def check_class_search(bi: BppInstance, node_limit: int) -> str:
+    """Check the per-class search against the reference; name the case.
+
+    A search that finishes must return a feasible packing with the
+    reference's optimum, in no more nodes, or one inside the bracket the
+    reference stopped with.  A search that stops must report the root
+    bound, and its bracket must hold the optimum the reference proves, or
+    meet the reference's bracket.
+    """
+    want = outcome(ref_exact_search, bi, node_limit)
+    got = outcome(_exact_search, bi, node_limit)
+    floor = max(ceil_div(bi.n, bi.capacity // min(bi.weights)), bi.volume_bound())
+    if isinstance(got[1], BppPacking):
+        count, packing, nodes = got
+        assert packing.bin_count == count
+        assert sorted(i for b in packing.bins for i in b) == list(range(1, bi.n + 1))
+        assert all(sum(bi.weights[i - 1] for i in b) <= bi.capacity for b in packing.bins)
+        if isinstance(want[1], BppPacking):
+            assert count == want[0]
+            assert nodes <= want[2]
+            return "finished"
+        # Only the new search finished: its optimum lies in the bracket
+        # the reference stopped with.
+        assert want[2] <= count <= want[1]
+        return "new-finished"
+    assert got[2] == floor
+    assert got[3] == node_limit + 1
+    if isinstance(want[1], BppPacking):
+        assert got[2] <= want[0] <= got[1]
+        return "ref-finished"
+    assert want[3] == node_limit + 1
+    assert max(got[2], want[2]) <= min(got[1], want[1])
+    return "stopped"
+
+
 @pytest.mark.parametrize("node_limit", NODE_LIMITS)
 def test_class_search_matches_the_recursive_search(node_limit):
-    seen = {"exact": 0, "finished": 0, "new-finished": 0, "stopped": 0}
+    seen = dict.fromkeys(("finished", "new-finished", "ref-finished", "stopped"), 0)
     for bi in class_instances():
-        want = outcome(ref_exact_search, bi, node_limit)
-        got = outcome(_exact_search, bi, node_limit)
-        card = ceil_div(bi.n, bi.capacity // min(bi.weights))
-        if card <= bi.volume_bound():
-            assert got == want
-            seen["exact"] += 1
-        elif isinstance(want[1], BppPacking):
-            assert got[:2] == want[:2]
-            assert got[2] <= want[2]
-            seen["finished"] += 1
-        elif isinstance(got[1], BppPacking):
-            # Only the new search finished: its optimum lies in the bracket
-            # the reference stopped with.
-            assert want[2] <= got[0] <= want[1]
-            seen["new-finished"] += 1
-        else:
-            # Both stopped: the stronger bound explores the same tree minus
-            # pruned subtrees, so it has seen at least the same incumbents.
-            assert got[1] <= want[1]
-            assert got[2] == max(card, bi.volume_bound())
-            assert got[3] == want[3] == node_limit + 1
-            seen["stopped"] += 1
-    assert seen["exact"] and seen["stopped"], seen
-    assert node_limit < 50 or all(seen.values()), seen
+        seen[check_class_search(bi, node_limit)] += 1
+    assert seen["stopped"], seen
+    assert node_limit < 50 or (seen["finished"] and seen["new-finished"]), seen
 
 
 #: The largest node limit the every-limit tests try on one instance.
@@ -412,13 +427,16 @@ def test_branch_and_bound_matches_at_every_node_limit():
 
 
 def test_class_search_matches_at_every_node_limit():
-    cases = stopped = 0
+    # A limit can fall on a child its parent has pruned, or on a leaf that
+    # improves the incumbent: neither may break the bracket.
+    seen = dict.fromkeys(("finished", "new-finished", "ref-finished", "stopped"), 0)
     for bi in class_instances():
         if ceil_div(bi.n, bi.capacity // min(bi.weights)) > bi.volume_bound():
             continue
         for node_limit in every_limit(outcome(ref_exact_search, bi, EVERY_LIMIT_CAP)[-1]):
-            want = outcome(ref_exact_search, bi, node_limit)
-            assert outcome(_exact_search, bi, node_limit) == want
-            cases += 1
-            stopped += not isinstance(want[1], BppPacking)
-    assert cases > 11_500 and stopped > 11_500, (cases, stopped)
+            seen[check_class_search(bi, node_limit)] += 1
+    # The reference stops in 11,927 of the 12,106 cases; the new search
+    # proves the optimum in 5,920 of those.
+    assert sum(seen.values()) > 11_500, seen
+    assert seen["new-finished"] + seen["stopped"] > 11_500, seen
+    assert seen["new-finished"] > 5_000, seen
