@@ -7,7 +7,7 @@ Branch-and-bound must match them exactly, node counts included.  The
 per-class search also prunes on the cardinality bound and on bin room
 lost below the smallest weight, and places equal items in bin order, so
 it must find the same optimum in no more nodes, and a search that stops
-must bracket the optimum the reference proves.
+must hold an incumbent no worse than the reference's at the same limit.
 """
 
 from __future__ import annotations
@@ -361,15 +361,21 @@ def test_branch_and_bound_time_limit_checked_every_1024_nodes():
 def check_class_search(bi: BppInstance, node_limit: int) -> str:
     """Check the per-class search against the reference; name the case.
 
-    A search that finishes must return a feasible packing with the
-    reference's optimum, in no more nodes, or one inside the bracket the
-    reference stopped with.  A search that stops must report the root
-    bound, and its bracket must hold the optimum the reference proves, or
-    meet the reference's bracket.
+    Where the cardinality bound does not exceed the volume bound, node
+    limits 0 and 1 stop both searches at the root's one child, before
+    either new rule is tested, so everything must match.  Elsewhere the
+    search must find the reference's optimum in no more nodes, as a
+    feasible packing (the equal-weight rule may return a twin of the
+    reference's); if only it finishes, inside the reference's bracket.
+    A search that stops alongside the reference must hold an incumbent no
+    worse than the reference's, with the root bound.
     """
     want = outcome(ref_exact_search, bi, node_limit)
     got = outcome(_exact_search, bi, node_limit)
-    floor = max(ceil_div(bi.n, bi.capacity // min(bi.weights)), bi.volume_bound())
+    card = ceil_div(bi.n, bi.capacity // min(bi.weights))
+    if card <= bi.volume_bound() and node_limit <= 1:
+        assert got == want
+        return "exact"
     if isinstance(got[1], BppPacking):
         count, packing, nodes = got
         assert packing.bin_count == count
@@ -383,22 +389,27 @@ def check_class_search(bi: BppInstance, node_limit: int) -> str:
         # the reference stopped with.
         assert want[2] <= count <= want[1]
         return "new-finished"
-    assert got[2] == floor
-    assert got[3] == node_limit + 1
-    if isinstance(want[1], BppPacking):
-        assert got[2] <= want[0] <= got[1]
-        return "ref-finished"
-    assert want[3] == node_limit + 1
-    assert max(got[2], want[2]) <= min(got[1], want[1])
+    # Both stopped (a reference that finishes within the limit is matched
+    # in no more nodes).  The new search walks the reference's tree in
+    # the same order, minus pruned subtrees and minus twins of subtrees it
+    # has already walked, so it has seen at least the same incumbents.
+    assert not isinstance(want[1], BppPacking), (want, got)
+    assert got[1] <= want[1]
+    assert got[2] == max(card, bi.volume_bound())
+    assert got[3] == want[3] == node_limit + 1
     return "stopped"
+
+
+CLASS_CASES = ("exact", "finished", "new-finished", "stopped")
 
 
 @pytest.mark.parametrize("node_limit", NODE_LIMITS)
 def test_class_search_matches_the_recursive_search(node_limit):
-    seen = dict.fromkeys(("finished", "new-finished", "ref-finished", "stopped"), 0)
+    seen = dict.fromkeys(CLASS_CASES, 0)
     for bi in class_instances():
         seen[check_class_search(bi, node_limit)] += 1
     assert seen["stopped"], seen
+    assert node_limit > 1 or seen["exact"], seen
     assert node_limit < 50 or (seen["finished"] and seen["new-finished"]), seen
 
 
@@ -428,15 +439,16 @@ def test_branch_and_bound_matches_at_every_node_limit():
 
 def test_class_search_matches_at_every_node_limit():
     # A limit can fall on a child its parent has pruned, or on a leaf that
-    # improves the incumbent: neither may break the bracket.
-    seen = dict.fromkeys(("finished", "new-finished", "ref-finished", "stopped"), 0)
+    # improves the incumbent: neither may lose the reference's incumbent.
+    seen = dict.fromkeys(CLASS_CASES, 0)
     for bi in class_instances():
         if ceil_div(bi.n, bi.capacity // min(bi.weights)) > bi.volume_bound():
             continue
         for node_limit in every_limit(outcome(ref_exact_search, bi, EVERY_LIMIT_CAP)[-1]):
             seen[check_class_search(bi, node_limit)] += 1
-    # The reference stops in 11,927 of the 12,106 cases; the new search
-    # proves the optimum in 5,920 of those.
+    # Of the 12,106 cases, the 398 at limits 0 and 1 match exactly; the
+    # reference stops on 11,640 of the rest, and the new search proves the
+    # optimum in 5,920 of those.
     assert sum(seen.values()) > 11_500, seen
     assert seen["new-finished"] + seen["stopped"] > 11_500, seen
-    assert seen["new-finished"] > 5_000, seen
+    assert seen["new-finished"] > 5_000 and seen["stopped"] > 5_000, seen
