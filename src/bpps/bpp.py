@@ -7,7 +7,11 @@ branch-and-bound gives the exact optimum at desk scale.  Besides the
 volume and cardinality bounds, that search charges the room an open bin
 loses below the smallest item weight (the wasted-space bound of bin
 completion, Korf 2003), and places an item of the same weight as the one
-before it only in that item's bin or a later one.  It and the BPPS
+before it only in that item's bin or a later one.  Where first-fit
+decreasing misses those bounds, the search starts from a minimum-slack
+packing instead when that uses fewer bins (each bin filled as full as a
+subset-sum over the items left allows; Gupta & Ho 1999), so a class that
+packing brings down to the bound is proved at the root.  It and the BPPS
 branch-and-bound in :mod:`bpps.exact` both run on
 :func:`depth_first`, an explicit-stack walk that owns the node count and
 the limits.  Each search tests a child's bound in the parent, just before
@@ -229,6 +233,68 @@ def heuristic_packing(
     return _heuristic_search(bi, perm_count, seed)[1]
 
 
+#: The most bits the minimum-slack start may keep for one bin: an int as
+#: wide as the room beside the bin's heaviest item for each other item left
+#: (2 MiB in all).  A wider bin keeps the first-fit start.
+_MIN_SLACK_BITS = 1 << 24
+
+
+def _min_slack_bins(
+    weights: Sequence[int], cap: int, budget: int, target: int
+) -> list[list[int]] | None:
+    """A minimum-slack packing in fewer than ``target`` bins, or ``None``.
+
+    ``weights`` is non-increasing; bins hold positions in it.  Each bin
+    takes the heaviest item left and the subset of the other items that
+    fills the rest of the bin most (Gupta & Ho 1999; Fleszar & Hindi
+    2002).  The subset comes from a subset-sum over the bits of one int:
+    bit ``t`` of ``reach`` is set when some of the items seen so far weigh
+    ``t`` together.  The ``reach`` from before each item that grew it
+    reads the chosen items back; an item that does not grow it, and the
+    equal items after it, are passed over.  Gives up once the packing
+    cannot beat ``target``, once the items its bins look at, counted once
+    per bin, pass ``budget``, or when a bin's ints could pass
+    ``_MIN_SLACK_BITS``.
+    """
+    rest = list(range(len(weights)))
+    left = sum(weights)
+    bins: list[list[int]] = []
+    looked = 0
+    while rest:
+        looked += len(rest)
+        if looked > budget or len(bins) + ceil_div(left, cap) >= target:
+            return None
+        first, others = rest[0], rest[1:]
+        room = cap - weights[first]
+        if len(others) * (room + 1) > _MIN_SLACK_BITS:
+            return None
+        mask = (2 << room) - 1
+        reach, trail, stale = 1, [], 0
+        for j in others:
+            w = weights[j]
+            if w == stale:  # an equal item before it added nothing
+                continue
+            grown = reach | (reach << w) & mask
+            if grown == reach:
+                stale = w
+                continue
+            trail.append((j, reach))
+            reach = grown
+            if reach >> room:  # the bin is full
+                break
+        t = reach.bit_length() - 1
+        chosen = [first]
+        for j, before in reversed(trail):
+            if not before >> t & 1:  # no subset without j weighs t
+                chosen.append(j)
+                t -= weights[j]
+        bins.append(chosen)
+        left -= sum(weights[j] for j in chosen)
+        taken = set(chosen)
+        rest = [j for j in others if j not in taken]
+    return bins
+
+
 def _exact_search(
     bi: BppInstance, node_limit: int
 ) -> tuple[int, BppPacking, int]:
@@ -253,6 +319,12 @@ def _exact_search(
     trail records each item's bin, and the bins are built only when a leaf
     improves the incumbent, as the parent resumes after it.  Each other
     node is an ``expand`` generator.
+
+    The incumbent starts as the first-fit-decreasing packing.  Where that
+    is above ``floor``, the packing of :func:`_min_slack_bins` replaces it
+    if it uses fewer bins, and one that reaches ``floor`` proves the count
+    at the root.  Its subset-sums may look at up to ``node_limit`` items,
+    a budget apart from the nodes, so node limits 0 and 1 never build it.
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]
@@ -263,6 +335,11 @@ def _exact_search(
     start = fit_heuristic(bi, RULE_FIRST_FIT, order)
     best_count = start.bin_count
     best_bins: Sequence[Sequence[int]] = start.bins
+    if floor < best_count:
+        slack_bins = _min_slack_bins(weights, cap, node_limit, best_count)
+        if slack_bins is not None:
+            best_count = len(slack_bins)
+            best_bins = [[order[j] for j in b] for b in slack_bins]
 
     def waste_limit() -> int:
         # The most waste a packing with fewer bins than the incumbent can

@@ -150,7 +150,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_cha(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     name = _out_name(args)
-    solution, trace = cha(inst, args.bpp_mode)
+    solution, trace = cha(inst, args.bpp_mode, node_limit=args.node_limit)
     print(f"termination = {trace.termination}")
     print("beta = " + " ".join(str(b) for b in trace.beta))
     singles = " ".join(str(c) for c in sorted(trace.single_bin_classes)) or "-"
@@ -350,6 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cha", help="run the constructive heuristic")
     p.add_argument("--instance", required=True)
     p.add_argument("--bpp-mode", choices=BPP_MODES, default=BPP_EXACT)
+    p.add_argument(
+        "--node-limit",
+        type=_at_least_zero(int, "an integer"),
+        default=exact.DEFAULT_NODE_LIMIT,
+        help="nodes each per-class search may take in exact mode (heuristic mode ignores it)",
+    )
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_cha)
 

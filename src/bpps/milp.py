@@ -20,6 +20,7 @@ losslessly.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -67,6 +68,8 @@ _FAMILY_BY_PREFIX = (
     ("mbi", FAMILY_MBI),
 )
 _ROW_PREFIXES = tuple(prefix for prefix, _ in _FAMILY_BY_PREFIX)
+#: The five prefixes differ in their first two letters.
+_FAMILY_BY_LEAD = {prefix[:2]: family for prefix, family in _FAMILY_BY_PREFIX}
 
 
 def _family_of(name: str) -> str:
@@ -352,6 +355,27 @@ def _parse_row(chunk: list[str], names: dict[str, str], shared: dict[_Term, _Ter
     return Row(name, terms, _SENSES[chunk[-2]], rhs)
 
 
+def _check_row_counts(variant: str, k: int, n: int, m: int, rows: list[Row]) -> None:
+    """Refuse rows whose count in a family differs from what the header implies."""
+    want = {
+        FAMILY_ASSIGNMENT: n,
+        FAMILY_CAPACITY: k,
+        FAMILY_LINKING: n * k,
+        FAMILY_MCI: 0 if variant == VARIANT_N else m,
+        FAMILY_MBI: 1 if variant in (VARIANT_DDAG, VARIANT_STAR) else 0,
+    }
+    # Every row name starts with one of the prefixes (``_parse_row``).  A
+    # generator, not a list: a list of 40,000 leads would raise the
+    # reader's peak memory by 2 MB.
+    leads = Counter(row.name[:2] for row in rows)
+    got = {family: leads[lead] for lead, family in _FAMILY_BY_LEAD.items()}
+    for family, count in want.items():
+        if got[family] != count:
+            raise LpFormatError(
+                f"read {got[family]} {family} rows; the header implies {count}"
+            )
+
+
 def _read_lp(lines: Iterable[str]) -> MilpModel:
     """The model in LP ``lines``, read in one pass that keeps one row's tokens.
 
@@ -448,6 +472,7 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
             for var, _ in terms:
                 if var not in known:
                     raise LpFormatError(f"{owner} names {var!r}, which Binaries does not list")
+    _check_row_counts(variant, k, n, m, rows)
     return MilpModel(
         variant=variant,
         k=k,
@@ -465,7 +490,10 @@ def parse_lp(text: str) -> MilpModel:
     Besides text outside the dialect, :class:`LpFormatError` rejects a
     model that does not hold together: a variant outside
     ``MODEL_VARIANTS``, a ``Binaries`` section without ``(n + m + 1) * k``
-    names, and a term naming a variable that ``Binaries`` does not list.
+    names, a term naming a variable that ``Binaries`` does not list, and a
+    row family whose count differs from what the header implies: ``n``
+    assignment, ``k`` capacity and ``n * k`` linking rows, ``m`` mci rows
+    unless the variant is ``N``, and one mbi row for ``DDAG`` and ``STAR``.
     """
     return _read_lp(text.splitlines())
 

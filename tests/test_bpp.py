@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
+from bpps.bounds import ceil_div
 from bpps.bpp import (
     FIT_RULES,
     RULE_FIRST_FIT,
     BppInstance,
     NodeLimitExceeded,
+    _min_slack_bins,
     decreasing_order,
     depth_first,
     exact_beta,
@@ -19,7 +22,9 @@ from bpps.bpp import (
     heuristic_packing,
 )
 from bpps.cha import class_bpp
+from bpps.core import MAX_VALUE
 from bpps.gen import COST_WITH, GeneratorConfig, generate
+from conftest import allocates_at_most
 
 
 def packing_is_feasible(bi: BppInstance, packing) -> bool:
@@ -335,6 +340,71 @@ class TestExactBeta:
         bi = class_bpp(generate(cfg), 4)
         assert (bi.n, bi.capacity, bi.volume_bound()) == (15, 8506, 4)
         assert exact_beta(bi, node_limit=5_000) == 4
+
+    def test_matches_partition_enumeration_from_the_minimum_slack_start(self):
+        # Items of a seventh to a third of the bin (3 to 6 per bin), kept
+        # where first-fit decreasing misses the floor, so the search starts
+        # from the minimum-slack packing wherever that uses fewer bins.
+        rng = random.Random(41)
+        checked = started = 0
+        while checked < 120:
+            cap = rng.randint(14, 80)
+            n = rng.randint(7, 14)
+            bi = BppInstance(
+                tuple(rng.randint(cap // 7 + 1, cap // 3) for _ in range(n)), cap
+            )
+            order = decreasing_order(bi)
+            weights = [bi.weights[i - 1] for i in order]
+            ffd = fit_heuristic(bi, RULE_FIRST_FIT, order).bin_count
+            if ffd == max(bi.volume_bound(), ceil_div(n, cap // weights[-1])):
+                continue
+            bins = _min_slack_bins(weights, cap, 10**6, n + 1)
+            assert sorted(j for b in bins for j in b) == list(range(n)), bi
+            assert all(sum(weights[j] for j in b) <= cap for b in bins), bi
+            started += len(bins) < ffd
+            assert exact_beta(bi) == oracle_beta(bi), bi
+            checked += 1
+        assert started > 90, started
+
+    def test_grid_class_proved_at_the_minimum_slack_start(self):
+        # Class 2 of grid instance bpps_n100_m5_d1000_costs_large_large_s1.
+        # From the first-fit-decreasing start the search stopped at 5,000
+        # nodes with the bracket [6, 7]; the minimum-slack start packs it
+        # in 6 bins, the volume bound, so the root proves it.
+        cfg = GeneratorConfig(
+            n=100, m=5, d=1000, cost_mode=COST_WITH, item_size="large",
+            setup_size="large", seed=1,
+        )
+        bi = class_bpp(generate(cfg), 2)
+        assert (bi.n, bi.capacity, bi.volume_bound()) == (22, 896, 6)
+        assert exact_beta(bi, node_limit=5_000) == 6
+
+    def test_minimum_slack_start_at_the_largest_capacity(self):
+        # A bitset as wide as the room left beside a 3t item would take
+        # over 150 MB; first-fit decreasing packs 3 bins, the optimum is 2,
+        # and the search proves it from the first-fit start.
+        t = MAX_VALUE // 7
+        bi = BppInstance((3 * t, 3 * t, 2 * t, 2 * t, 2 * t, 2 * t), MAX_VALUE)
+        assert fit_heuristic(bi, RULE_FIRST_FIT, decreasing_order(bi)).bin_count == 3
+        start = time.perf_counter()
+        assert exact_beta(bi) == 2
+        assert time.perf_counter() - start < 1.0
+        with allocates_at_most(4 << 20):
+            assert exact_beta(bi) == 2
+
+    def test_minimum_slack_start_on_thousands_of_items(self):
+        # First-fit decreasing pairs the 3s and packs 817 bins; the
+        # minimum-slack start packs every bin as 3 + 2 + 2, 700 bins, the
+        # floor.  Within 5,000 nodes the start gives up and the search stops.
+        bi = BppInstance((3,) * 700 + (2,) * 1400, 7)
+        start = time.perf_counter()
+        assert exact_beta(bi) == 700
+        with pytest.raises(NodeLimitExceeded) as info:
+            exact_beta(bi, node_limit=5_000)
+        assert (info.value.lower_bound, info.value.incumbent) == (700, 817)
+        assert time.perf_counter() - start < 1.0
+        with allocates_at_most(4 << 20):
+            assert exact_beta(bi) == 700
 
     def test_search_deeper_than_the_recursion_limit_hits_the_node_limit(self):
         # 1,200 items deep: the search keeps its own stack, not Python's.

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 from pathlib import Path
 
@@ -16,8 +15,7 @@ from bpps.cli import (
     build_parser,
     main,
 )
-import bpps.cli
-from bpps.cha import BPP_MODES, cha, k_upper
+from bpps.cha import BPP_MODES, k_upper
 from bpps.core import Instance, InvalidInstanceError, Solution
 from bpps.files import (
     parse_instance,
@@ -253,7 +251,7 @@ def test_bnb_past_recursion_depth_exits_limit_with_an_answer(deep_file, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
-def test_cha_proves_a_grid_instance_at_a_low_node_limit(tmp_path, monkeypatch, capsys):
+def test_cha_proves_a_grid_instance_at_a_low_node_limit(tmp_path, capsys):
     # Grid instance bpps_n50_m5_d10000_costs_large_large_s1.  Without the
     # waste charge and the equal-weight rule, its class 4 stopped at 5,000
     # nodes and this run exited 4; the default limit gives the same answer.
@@ -263,11 +261,27 @@ def test_cha_proves_a_grid_instance_at_a_low_node_limit(tmp_path, monkeypatch, c
     )
     path = tmp_path / "grid.txt"
     write_instance(generate(cfg), path)
-    monkeypatch.setattr(bpps.cli, "cha", functools.partial(cha, node_limit=5_000))
-    assert main(["cha", "--instance", str(path)]) == EXIT_OK
+    assert main(["cha", "--node-limit", "5000", "--instance", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "beta = 4 3 2 4 3\n" in out
     assert "psi_bar = 230\n" in out
+
+
+def test_cha_proves_a_class_at_the_minimum_slack_start(tmp_path, capsys):
+    # Grid instance bpps_n100_m5_d1000_costs_large_large_s1.  Its class 2
+    # (22 items at capacity 896, volume bound 6) stopped at 5,000 nodes
+    # with incumbent 7 when the search started from first-fit decreasing,
+    # and this run exited 4; the minimum-slack start packs it in 6 bins.
+    cfg = GeneratorConfig(
+        n=100, m=5, d=1000, cost_mode=COST_WITH, item_size="large",
+        setup_size="large", seed=1,
+    )
+    path = tmp_path / "grid.txt"
+    write_instance(generate(cfg), path)
+    assert main(["cha", "--node-limit", "5000", "--instance", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "beta = 5 6 5 7 5\n" in out
+    assert "psi_bar = 403\n" in out
 
 
 def test_zero_limits_are_valid(fig1_file, capsys):

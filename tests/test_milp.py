@@ -234,6 +234,59 @@ def test_parse_lp_rejects_malformed_text(fig1, old, new, message):
     assert str(info.value) == message
 
 
+def drop_row(text: str, name: str) -> str:
+    """``text`` without the lines of row ``name``, continuation lines too."""
+    kept, dropping = [], False
+    for line in text.splitlines(keepends=True):
+        if ":" in line or not line.startswith(" "):  # not a continuation
+            dropping = line.startswith(f" {name}:")
+        if not dropping:
+            kept.append(line)
+    return "".join(kept)
+
+
+@pytest.mark.parametrize(
+    "variant, edit, message",
+    [
+        (
+            VARIANT_N,
+            lambda text: drop_row(text, "assign_3"),
+            "read 7 assignment rows; the header implies 8",
+        ),
+        (
+            VARIANT_DDAG,
+            lambda text: drop_row(text, "cap_8"),
+            "read 7 capacity rows; the header implies 8",
+        ),
+        (
+            VARIANT_N,
+            lambda text: drop_row(text, "link_2_5_1"),
+            "read 63 linking rows; the header implies 64",
+        ),
+        (
+            VARIANT_DAG,
+            lambda text: text.replace("variant=DAG", "variant=N", 1),
+            "read 2 mci rows; the header implies 0",
+        ),
+        (
+            VARIANT_DDAG,
+            lambda text: drop_row(text, "mbi"),
+            "read 0 mbi rows; the header implies 1",
+        ),
+    ],
+    ids=["missing-assign", "missing-cap", "missing-link", "mci-in-n", "missing-mbi"],
+)
+def test_parse_lp_refuses_row_counts_the_header_does_not_imply(fig1, variant, edit, message):
+    # Without the check, the model without assign_3 parsed, and
+    # import_solution then returned a packing that left item 3 out.
+    text = render_lp(build_model(fig1, variant))
+    edited = edit(text)
+    assert edited != text
+    with pytest.raises(LpFormatError) as info:
+        parse_lp(edited)
+    assert str(info.value) == message
+
+
 def test_non_ascii_lp_file_is_a_format_error(tmp_path):
     # At the end, the error comes from a later block than the first, after
     # rows have been read.
