@@ -45,12 +45,25 @@ DEFAULT_NODE_LIMIT = 10**7
 
 
 class NodeLimitExceeded(BppsError):
-    """The exact solver exhausted its node budget; carries the incumbent."""
+    """The exact solver exhausted its node budget before it proved a count.
 
-    def __init__(self, incumbent: int, lower_bound: int, nodes: int) -> None:
+    Carries the search state at the stop: the incumbent bin count, the
+    root lower bound, the nodes walked and the incumbent ``packing``, a
+    feasible packing in ``incumbent`` bins.  Callers that need only a
+    feasible packing, as :func:`bpps.cha.cha` does, can go on with it.
+    """
+
+    def __init__(
+        self,
+        incumbent: int,
+        lower_bound: int,
+        nodes: int,
+        packing: BppPacking | None = None,
+    ) -> None:
         self.incumbent = incumbent
         self.lower_bound = lower_bound
         self.nodes = nodes
+        self.packing = packing
         super().__init__(
             f"node limit hit after {nodes} nodes "
             f"(incumbent {incumbent}, lower bound {lower_bound})"
@@ -388,11 +401,11 @@ def _exact_search(
 
     root = expand(0, 0, 0, 0) if floor < best_count else iter(())
     nodes, finished = depth_first(root, node_limit)
+    packing = BppPacking(tuple(tuple(sorted(b)) for b in best_bins))
     if not finished:
         # The root bound is the only lower bound still valid for the
         # abandoned part of the tree.
-        raise NodeLimitExceeded(best_count, floor, nodes)
-    packing = BppPacking(tuple(tuple(sorted(b)) for b in best_bins))
+        raise NodeLimitExceeded(best_count, floor, nodes, packing)
     return best_count, packing, nodes
 
 

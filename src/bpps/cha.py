@@ -7,7 +7,9 @@ those blocks (item weight plus setup weight) into full-capacity bins, and
 when they all land in a single bin, step 3 tries to push that combined
 block into the spare room of some multi-bin class's bin.  The result is
 always a feasible solution; with exact per-class packing counts its value
-is guaranteed below twice the strongest fractional bound.
+is guaranteed below twice the strongest fractional bound.  A search that
+stops at its node limit still hands over a feasible packing, so the
+heuristic always answers; the trace names the counts left unproved.
 
 Summing the per-class bin counts also upper-bounds the number of bins any
 optimal solution can use, which is what shrinks the compact model.
@@ -16,6 +18,7 @@ optimal solution can use, which is what shrinks the compact model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import bpp
 from .core import Instance, Solution, bin_load
@@ -28,6 +31,9 @@ TERM_STEP1 = "step1"
 TERM_STEP2 = "step2"
 TERM_STEP3_MERGED = "step3-merged"
 TERM_STEP3_UNMERGED = "step3-unmerged"
+
+#: How ``ChaTrace.unproved`` names step 2's block packing (classes are 1..m).
+STEP2_BLOCKS = 0
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,13 @@ class ChaTrace:
     * ``step3-unmerged``: ``sum(beta_c f_c) + r * (sum outside beta_c + 1)``
 
     where "outside" ranges over classes needing more than one bin.
+
+    ``unproved`` names the packings an exact search left at its node
+    limit: the step-1 classes in class order, then :data:`STEP2_BLOCKS`
+    if step 2's block packing stopped.  Each of those counts (``beta_c``
+    or ``delta``) is the bin count of the search's incumbent, an upper
+    bound, and the formulas above hold with it.  Empty means every count
+    is proved, as it always is in heuristic mode, where none is exact.
     """
 
     termination: str
@@ -50,6 +63,7 @@ class ChaTrace:
     delta: int | None
     merge_class: int | None
     psi_bar: int
+    unproved: tuple[int, ...] = ()
 
 
 def class_bpp(inst: Instance, c: int) -> bpp.BppInstance:
@@ -73,24 +87,47 @@ def _solve(
     return bpp.heuristic_packing(bi, perm_count, seed)
 
 
+def _solve_or_stop(
+    bi: bpp.BppInstance,
+    mode: str,
+    node_limit: int,
+    perm_count: int,
+    seed: int,
+) -> tuple[bpp.BppPacking, bpp.NodeLimitExceeded | None]:
+    """``(packing, stop)``: :func:`_solve`'s packing, or a stopped search's.
+
+    ``stop`` is the search's :class:`~bpps.bpp.NodeLimitExceeded` when it
+    stopped short of a proof, and its incumbent packing stands in.  A stop
+    whose incumbent meets its lower bound has proved that count, so its
+    ``stop`` is ``None``.
+    """
+    try:
+        return _solve(bi, mode, node_limit, perm_count, seed), None
+    except bpp.NodeLimitExceeded as stop:
+        proved = stop.incumbent == stop.lower_bound
+        return stop.packing, None if proved else stop
+
+
 def _class_packings(
     inst: Instance,
     mode: str,
     node_limit: int,
     perm_count: int,
     seed: int,
-) -> list[bpp.BppPacking]:
+) -> Iterator[tuple[bpp.BppPacking, bpp.NodeLimitExceeded | None]]:
     """Step 1, shared by :func:`cha` and :func:`k_upper`.
 
     Packs each class alone at capacity ``d - s_c``, class ``c`` with seed
-    ``seed + c``.
+    ``seed + c``, and yields :func:`_solve_or_stop`'s ``(packing, stop)``
+    per class, one class at a time, so a caller that gives up at a stop
+    runs no class after it.
     """
     if mode not in BPP_MODES:
         raise ValueError(f"unknown bpp mode {mode!r}")
-    return [
-        _solve(class_bpp(inst, c), mode, node_limit, perm_count, seed + c)
-        for c in inst.classes
-    ]
+    for c in inst.classes:
+        yield _solve_or_stop(
+            class_bpp(inst, c), mode, node_limit, perm_count, seed + c
+        )
 
 
 def cha(
@@ -103,16 +140,25 @@ def cha(
 ) -> tuple[Solution, ChaTrace]:
     """Run the constructive heuristic and return (solution, trace).
 
-    ``bpp_mode`` picks how the inner packing subproblems are solved; in
-    exact mode a node-limit overrun propagates as
-    :class:`~bpps.bpp.NodeLimitExceeded`.  Step 3 scans the bins of the
-    multi-bin classes in class order and takes the first with room, so
-    the outcome is deterministic.  A trivial instance (everything fits
-    one bin) ends ``step3-unmerged`` with every item in one bin, which is
-    optimal.  ``inst`` is valid by construction (``d - s_c >= w_i >= 1``
-    for every item), so every step-1 subproblem has room for its items.
+    ``bpp_mode`` picks how the inner packing subproblems are solved.  In
+    exact mode a search that reaches ``node_limit`` without a proof hands
+    over its incumbent packing: the heuristic finishes all three steps
+    with it and lists that class, or step 2's blocks, in
+    ``trace.unproved``.  The solution is feasible and costs ``psi_bar``
+    either way; only the 1/2 guarantee needs ``unproved`` empty.  Step 3
+    scans the bins of the multi-bin classes in class order and takes the
+    first with room, so the outcome is deterministic.  A trivial instance
+    (everything fits one bin) ends ``step3-unmerged`` with every item in
+    one bin, which is optimal.  ``inst`` is valid by construction
+    (``d - s_c >= w_i >= 1`` for every item), so every step-1 subproblem
+    has room for its items.
     """
-    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
+    packings, unproved = [], []
+    steps = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
+    for c, (packing, stop) in zip(inst.classes, steps):
+        packings.append(packing)
+        if stop is not None:
+            unproved.append(c)
     beta = tuple(p.bin_count for p in packings)
     single = frozenset(c for c in inst.classes if beta[c - 1] == 1)
     outside = [c for c in inst.classes if c not in single]
@@ -137,7 +183,11 @@ def cha(
             ),
             capacity=inst.capacity,
         )
-        agg_packing = _solve(agg, bpp_mode, node_limit, perm_count, seed)
+        agg_packing, stop = _solve_or_stop(
+            agg, bpp_mode, node_limit, perm_count, seed
+        )
+        if stop is not None:
+            unproved.append(STEP2_BLOCKS)
         termination, delta = TERM_STEP2, agg_packing.bin_count
         blocks = [
             frozenset(
@@ -167,7 +217,9 @@ def cha(
     setup_cost = sum(b * fc for b, fc in zip(beta, inst.setup_costs))
     outside_bins = sum(beta[c - 1] for c in outside)
     psi_bar = setup_cost + inst.bin_cost * (outside_bins + len(blocks))
-    trace = ChaTrace(termination, beta, single, delta, merge_class, psi_bar)
+    trace = ChaTrace(
+        termination, beta, single, delta, merge_class, psi_bar, tuple(unproved)
+    )
     return Solution(tuple(bins + blocks)), trace
 
 
@@ -182,7 +234,16 @@ def k_upper(
     """Upper bound on the bins used by any optimal solution.
 
     Sum over classes of the per-class bin count at residual capacity
-    ``d - s_c``, computed exactly or heuristically.
+    ``d - s_c``, computed exactly or heuristically.  In exact mode the
+    first class whose search stops at ``node_limit`` without a proof
+    raises its :class:`~bpps.bpp.NodeLimitExceeded`, and no later class
+    is solved: the count is returned only when every class is proved.
     """
-    packings = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
-    return sum(p.bin_count for p in packings)
+    total = 0
+    for packing, stop in _class_packings(
+        inst, bpp_mode, node_limit, perm_count, seed
+    ):
+        if stop is not None:
+            raise stop
+        total += packing.bin_count
+    return total

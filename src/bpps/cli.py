@@ -3,7 +3,7 @@
 Subcommands: ``gen``, ``bounds``, ``cha``, ``solve``, ``emit-model``,
 ``verify``, ``report``, ``worstcase``.  Exit codes: 0 ok, 1 usage,
 2 I/O or malformed file, 3 infeasible/validation failure, 4 search limit
-reached.
+reached (``cha`` and ``solve`` still print a feasible answer).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import exact, gen, milp
 from .bounds import bounds_report, zeta_lp_dag
-from .cha import BPP_EXACT, BPP_MODES, cha
+from .cha import BPP_EXACT, BPP_MODES, STEP2_BLOCKS, cha
 from .core import (
     BppsError,
     InfeasibleSolutionError,
@@ -162,13 +162,24 @@ def _cmd_cha(args: argparse.Namespace) -> int:
     print(f"k_upper = {sum(trace.beta)}")
     doubled = 2 * zeta_lp_dag(inst)
     relation = ">" if doubled > trace.psi_bar else "<="
-    note = "" if args.bpp_mode == BPP_EXACT else " (informational in heuristic mode)"
+    if args.bpp_mode != BPP_EXACT:
+        note = " (informational in heuristic mode)"
+    elif trace.unproved:
+        note = " (informational: not every count is proved)"
+    else:
+        note = ""
     print(
         f"guarantee: 2 * zeta_dag = {format_fraction(doubled)} "
         f"{relation} psi_bar = {trace.psi_bar}{note}"
     )
     _print_bins(solution)
+    if trace.unproved:
+        names = ("blocks" if c == STEP2_BLOCKS else str(c) for c in trace.unproved)
+        print("unproved = " + " ".join(names))
     _write_out(args, name, solution)
+    if trace.unproved:
+        print("search limit reached; unproved counts are upper bounds", file=sys.stderr)
+        return EXIT_LIMIT
     return EXIT_OK
 
 

@@ -142,8 +142,10 @@ def build_model(
 
     Variants ``N``/``DAG``/``DDAG`` use ``k = n`` candidate bins; ``STAR``
     uses the per-class packing bound, heuristically computed by default
-    (``exact_bin_bound`` switches to exact per-class packing).  ``inst``
-    is valid by construction, so no variant checks its data.
+    (``exact_bin_bound`` switches to exact per-class packing, and raises
+    :class:`~bpps.bpp.NodeLimitExceeded` when a class's search stops
+    unproved, as :func:`~bpps.cha.k_upper` does).  ``inst`` is valid by
+    construction, so no variant checks its data.
     """
     if variant not in MODEL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")

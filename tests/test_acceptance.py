@@ -260,8 +260,10 @@ def test_criterion_08_cha_guarantee(oracle_suite):
         }[trace.termination]
         formula_ok = trace.psi_bar == expected
         cost_ok = solution_cost(inst, solution).total == trace.psi_bar
+        # The guarantee rests on proved per-class counts.
+        proved_ok = not trace.unproved
         guarantee_ok = 2 * zeta_lp_dag(inst) > trace.psi_bar
-        if not (formula_ok and cost_ok and guarantee_ok):
+        if not (formula_ok and cost_ok and proved_ok and guarantee_ok):
             violations.append((idx, trace.termination))
     report_line(
         8,

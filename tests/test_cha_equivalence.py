@@ -2,10 +2,14 @@
 
 ``ref_class_packings`` and ``ref_cha`` below are verbatim copies (renamed)
 of ``bpps.cha._class_packings`` and ``bpps.cha.cha`` from before the
-heuristic built its trace and value in one place.  On valid instances the
-solution and the trace must be equal, and an exact-mode node-limit stop
-must carry the same message.  The reference raised its own error on a
-trivial instance, so trivial instances are not compared here.
+heuristic built its trace and value in one place.  Where the reference
+answers, the solution and the trace must be equal, with nothing unproved.
+Where an exact-mode search stops at its node limit the reference raises,
+and ``cha`` must answer with the stopped search's incumbent: a feasible
+solution that costs ``psi_bar``, with the stopped class (or step 2's
+blocks) named unproved unless the stop closed its bracket.  The reference
+raised its own error on a trivial instance, so trivial instances are not
+compared here.
 """
 
 from __future__ import annotations
@@ -24,12 +28,20 @@ from bpps.cha import (
     TERM_STEP2,
     TERM_STEP3_MERGED,
     TERM_STEP3_UNMERGED,
+    STEP2_BLOCKS,
     ChaTrace,
     _solve,
     class_bpp,
     cha,
 )
-from bpps.core import BppsError, Instance, Solution, require_valid
+from bpps.core import (
+    BppsError,
+    Instance,
+    Solution,
+    check_feasible,
+    require_valid,
+    solution_cost,
+)
 from conftest import random_instance
 
 
@@ -171,11 +183,31 @@ def ref_cha(
 
 
 
-def outcome(run, inst, mode, **kwargs):
+def first_stop(inst, node_limit):
+    """Where the reference stopped: its first class that stops, else the blocks."""
+    for c in inst.classes:
+        try:
+            bpp.exact_packing(class_bpp(inst, c), node_limit)
+        except NodeLimitExceeded:
+            return c
+    return STEP2_BLOCKS
+
+
+def check_against_reference(inst, mode, **kwargs):
+    """Compare ``cha`` with ``ref_cha``; return ``cha``'s trace and the stop."""
+    solution, trace = cha(inst, mode, **kwargs)
     try:
-        return run(inst, mode, **kwargs)
-    except NodeLimitExceeded as exc:
-        return str(exc)
+        want = ref_cha(inst, mode, **kwargs)
+    except NodeLimitExceeded as stop:
+        assert check_feasible(inst, solution).ok
+        assert solution_cost(inst, solution).total == trace.psi_bar
+        where = first_stop(inst, kwargs["node_limit"])
+        count = trace.delta if where == STEP2_BLOCKS else trace.beta[where - 1]
+        assert count == stop.incumbent
+        assert (where in trace.unproved) == (stop.incumbent > stop.lower_bound)
+        return trace, stop
+    assert (solution, trace) == want
+    return trace, None
 
 
 def test_grid_heuristic_mode_matches_the_reference(benchmark_480):
@@ -191,18 +223,28 @@ def test_grid_heuristic_mode_matches_the_reference(benchmark_480):
 def test_random_instances_match_the_reference(mode):
     rng = random.Random(61)
     seen = set()
+    unproved = 0
     for _ in range(300):
         inst = random_instance(
             rng, max_n=rng.choice((8, 14, 20)), max_m=rng.choice((2, 3, 5))
         )
         kwargs = {
-            "node_limit": rng.choice((50, 5_000)),
+            "node_limit": rng.choice((0, 2, 50, 5_000)),
             "perm_count": rng.choice((1, 5, 50)),
             "seed": rng.randint(0, 1000),
         }
-        want = outcome(ref_cha, inst, mode, **kwargs)
-        assert outcome(cha, inst, mode, **kwargs) == want
-        seen.add(want if isinstance(want, str) else want[1].termination)
+        trace, _ = check_against_reference(inst, mode, **kwargs)
+        seen.add(trace.termination)
+        unproved += bool(trace.unproved)
     assert ALL_TERMINATIONS <= seen
     if mode == BPP_EXACT:
-        assert any(isinstance(s, str) for s in seen)
+        assert unproved
+
+
+def test_grid_exact_mode_answers_where_the_reference_stops(benchmark_480):
+    # The exact-search benchmark's limit: 12 grid instances stop there.
+    stops = 0
+    for _, inst in benchmark_480:
+        _, stop = check_against_reference(inst, BPP_EXACT, node_limit=5_000)
+        stops += stop is not None
+    assert stops == 12

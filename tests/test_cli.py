@@ -293,6 +293,60 @@ def test_zero_limits_are_valid(fig1_file, capsys):
     assert "status = optimal\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("limit", ["0", "1"])
+def test_cha_counts_a_closed_bracket_as_proved(fig1_file, capsys, limit):
+    # At limit 0 the per-class search of class 1 stops at its root with
+    # incumbent 4 and lower bound 4: a proof, as at limit 1.
+    cmd = ["cha", "--node-limit", limit, "--instance", str(fig1_file)]
+    assert main(cmd) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "beta = 4 1\n" in captured.out
+    assert "psi_bar = 61\n" in captured.out
+    assert "unproved" not in captured.out
+    assert captured.err == ""
+
+
+@pytest.fixture
+def stopping_file(tmp_path):
+    # Class 1: 16 items of weights 7, 5, 4, 3 at residual capacity 13.  At 3
+    # nodes its search stops with incumbent 7 against lower bound 6; at 50
+    # it proves 6.
+    weights = (7, 5, 4, 3) * 4 + (2, 2)
+    path = tmp_path / "stops.txt"
+    write_instance(Instance(weights, 14, (1,) * 16 + (2, 2), (1, 1), (1, 2), 10), path)
+    return path
+
+
+def test_cha_answers_with_the_incumbent_when_a_class_stops(stopping_file, tmp_path, capsys):
+    sol_path = tmp_path / "stops.sol"
+    cmd = ["cha", "--node-limit", "3", "--instance", str(stopping_file), "--out", str(sol_path)]
+    assert main(cmd) == EXIT_LIMIT
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[:6] == [
+        "termination = step3-merged",
+        "beta = 7 1",
+        "single_bin_classes = 2",
+        "delta = 1",
+        "merge_class = 1",
+        "psi_bar = 79",
+    ]
+    assert out[7].endswith("psi_bar = 79 (informational: not every count is proved)")
+    assert out[-2:] == ["unproved = 1", f"wrote solution to {sol_path}"]
+    assert captured.err == "search limit reached; unproved counts are upper bounds\n"
+    cmd = ["verify", "--instance", str(stopping_file), "--solution", str(sol_path)]
+    assert main(cmd) == EXIT_OK
+    assert "psi = 79 " in capsys.readouterr().out
+
+
+def test_cha_proves_the_stopping_class_at_a_higher_limit(stopping_file, capsys):
+    assert main(["cha", "--node-limit", "50", "--instance", str(stopping_file)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "termination = step3-unmerged\nbeta = 6 1\n" in out
+    assert "psi_bar = 78\n" in out
+    assert "unproved" not in out
+
+
 def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
     # At most two items of weight 7 fit in 20, so 600 bins are needed and
     # first fit already uses 600: the search stops at its root.
