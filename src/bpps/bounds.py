@@ -251,14 +251,12 @@ def format_fraction(value: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def format_decimal(value: Fraction | int, places: int = 2) -> str:
-    """Exact half-even rounding to a fixed number of decimal places."""
-    f = Fraction(value)
-    scale = 10**places
-    scaled = round(f * scale)
+def format_decimal(value: Fraction | int) -> str:
+    """Exact half-even rounding to two decimal places."""
+    scaled = round(Fraction(value) * 100)
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(abs(scaled), 100)
+    return f"{sign}{whole}.{frac:02d}"
 
 
 def ceil_div(a: int, b: int) -> int:

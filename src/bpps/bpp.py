@@ -29,7 +29,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import ceil_div
 from .core import BppsError, store_integers
@@ -42,6 +42,10 @@ FIT_RULES = (RULE_NEXT_FIT, RULE_FIRST_FIT, RULE_BEST_FIT)
 #: Search effort allowed before the exact solver gives up.  Desk-scale
 #: per-class instances (tens of items) resolve far below this.
 DEFAULT_NODE_LIMIT = 10**7
+
+#: Item orders the fit heuristics try per packing: non-increasing weight,
+#: then ``PERM_COUNT - 1`` seeded random permutations.
+PERM_COUNT = 50
 
 
 class NodeLimitExceeded(BppsError):
@@ -157,7 +161,7 @@ def decreasing_order(bi: BppInstance) -> tuple[int, ...]:
 
 
 def fit_heuristic(
-    bi: BppInstance, rule: str, order: Sequence[int]
+    bi: BppInstance, rule: str, order: Iterable[int]
 ) -> BppPacking:
     """Pack items in the given order under one of the three fit rules.
 
@@ -167,6 +171,7 @@ def fit_heuristic(
     """
     if rule not in FIT_RULES:
         raise ValueError(f"unknown rule {rule!r}")
+    order = tuple(order)  # read once: the check must not use it up
     if sorted(order) != list(range(1, bi.n + 1)):
         raise ValueError("order must be a permutation of 1..n")
     cap = bi.capacity
@@ -199,24 +204,20 @@ def fit_heuristic(
     return BppPacking(tuple(tuple(b) for b in bins))
 
 
-def _heuristic_search(
-    bi: BppInstance, perm_count: int, seed: int
-) -> tuple[int, BppPacking]:
-    """Best (bin count, packing) over the fit rules and ``perm_count`` orders.
+def _heuristic_search(bi: BppInstance, seed: int) -> tuple[int, BppPacking]:
+    """Best (bin count, packing) over the fit rules and ``PERM_COUNT`` orders.
 
     Random orders are drawn one at a time, only when the loop reaches them,
     from a single seeded stream, so order k is the same however early the
     search stops.  No packing can beat the volume bound, so the first one
     that reaches it is returned.
     """
-    if perm_count < 1:
-        raise ValueError("perm_count must be at least 1")
     floor = bi.volume_bound()
     rng = random.Random(seed)
     base = list(range(1, bi.n + 1))
     order: Sequence[int] = decreasing_order(bi)
     best: tuple[int, BppPacking] | None = None
-    for k in range(perm_count):
+    for k in range(PERM_COUNT):
         if k:
             order = base[:]
             rng.shuffle(order)
@@ -229,21 +230,20 @@ def _heuristic_search(
     return best
 
 
-def heuristic_beta(bi: BppInstance, perm_count: int = 50, seed: int = 0) -> int:
-    """Best bin count over all three fit rules and ``perm_count`` orders.
+def heuristic_beta(bi: BppInstance, seed: int = 0) -> int:
+    """Best bin count over all three fit rules and ``PERM_COUNT`` orders.
 
     The first order is always non-increasing weight; the remaining
-    ``perm_count - 1`` are random permutations from the seeded generator.
-    The search stops at the first packing that reaches the volume bound.
+    ``PERM_COUNT - 1`` are random permutations from the generator seeded
+    ``seed``.  The search stops at the first packing that reaches the
+    volume bound.
     """
-    return _heuristic_search(bi, perm_count, seed)[0]
+    return _heuristic_search(bi, seed)[0]
 
 
-def heuristic_packing(
-    bi: BppInstance, perm_count: int = 50, seed: int = 0
-) -> BppPacking:
+def heuristic_packing(bi: BppInstance, seed: int = 0) -> BppPacking:
     """The packing behind :func:`heuristic_beta`."""
-    return _heuristic_search(bi, perm_count, seed)[1]
+    return _heuristic_search(bi, seed)[1]
 
 
 #: The most bits the minimum-slack start may keep for one bin: an int as
@@ -338,6 +338,9 @@ def _exact_search(
     if it uses fewer bins, and one that reaches ``floor`` proves the count
     at the root.  Its subset-sums may look at up to ``node_limit`` items,
     a budget apart from the nodes, so node limits 0 and 1 never build it.
+    A walk the limit stops raises :class:`NodeLimitExceeded` only while
+    the incumbent is above ``floor``: one at ``floor`` closes the bracket,
+    a proof, and comes back with the nodes walked.
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]
@@ -402,9 +405,9 @@ def _exact_search(
     root = expand(0, 0, 0, 0) if floor < best_count else iter(())
     nodes, finished = depth_first(root, node_limit)
     packing = BppPacking(tuple(tuple(sorted(b)) for b in best_bins))
-    if not finished:
+    if not finished and best_count > floor:
         # The root bound is the only lower bound still valid for the
-        # abandoned part of the tree.
+        # abandoned part of the tree; an incumbent at it is proved.
         raise NodeLimitExceeded(best_count, floor, nodes, packing)
     return best_count, packing, nodes
 

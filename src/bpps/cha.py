@@ -75,59 +75,37 @@ def class_bpp(inst: Instance, c: int) -> bpp.BppInstance:
     )
 
 
-def _solve(
-    bi: bpp.BppInstance,
-    mode: str,
-    node_limit: int,
-    perm_count: int,
-    seed: int,
-) -> bpp.BppPacking:
-    if mode == BPP_EXACT:
-        return bpp.exact_packing(bi, node_limit)
-    return bpp.heuristic_packing(bi, perm_count, seed)
-
-
-def _solve_or_stop(
-    bi: bpp.BppInstance,
-    mode: str,
-    node_limit: int,
-    perm_count: int,
-    seed: int,
+def _pack(
+    bi: bpp.BppInstance, mode: str, node_limit: int, seed: int
 ) -> tuple[bpp.BppPacking, bpp.NodeLimitExceeded | None]:
-    """``(packing, stop)``: :func:`_solve`'s packing, or a stopped search's.
+    """``(packing, stop)``: the packing of ``bi`` in ``mode``.
 
-    ``stop`` is the search's :class:`~bpps.bpp.NodeLimitExceeded` when it
-    stopped short of a proof, and its incumbent packing stands in.  A stop
-    whose incumbent meets its lower bound has proved that count, so its
-    ``stop`` is ``None``.
+    ``stop`` is the exact search's :class:`~bpps.bpp.NodeLimitExceeded`
+    when it stopped short of a proof, and its incumbent packing stands in.
+    ``seed`` seeds the heuristic's random orders.
     """
+    if mode == BPP_HEURISTIC:
+        return bpp.heuristic_packing(bi, seed), None
     try:
-        return _solve(bi, mode, node_limit, perm_count, seed), None
+        return bpp.exact_packing(bi, node_limit), None
     except bpp.NodeLimitExceeded as stop:
-        proved = stop.incumbent == stop.lower_bound
-        return stop.packing, None if proved else stop
+        return stop.packing, stop
 
 
 def _class_packings(
-    inst: Instance,
-    mode: str,
-    node_limit: int,
-    perm_count: int,
-    seed: int,
+    inst: Instance, mode: str, node_limit: int
 ) -> Iterator[tuple[bpp.BppPacking, bpp.NodeLimitExceeded | None]]:
     """Step 1, shared by :func:`cha` and :func:`k_upper`.
 
     Packs each class alone at capacity ``d - s_c``, class ``c`` with seed
-    ``seed + c``, and yields :func:`_solve_or_stop`'s ``(packing, stop)``
-    per class, one class at a time, so a caller that gives up at a stop
-    runs no class after it.
+    ``c``, and yields :func:`_pack`'s ``(packing, stop)`` per class, one
+    class at a time, so a caller that gives up at a stop runs no class
+    after it.
     """
     if mode not in BPP_MODES:
         raise ValueError(f"unknown bpp mode {mode!r}")
     for c in inst.classes:
-        yield _solve_or_stop(
-            class_bpp(inst, c), mode, node_limit, perm_count, seed + c
-        )
+        yield _pack(class_bpp(inst, c), mode, node_limit, c)
 
 
 def cha(
@@ -135,13 +113,13 @@ def cha(
     bpp_mode: str = BPP_EXACT,
     *,
     node_limit: int = bpp.DEFAULT_NODE_LIMIT,
-    perm_count: int = 50,
-    seed: int = 0,
 ) -> tuple[Solution, ChaTrace]:
     """Run the constructive heuristic and return (solution, trace).
 
     ``bpp_mode`` picks how the inner packing subproblems are solved.  In
-    exact mode a search that reaches ``node_limit`` without a proof hands
+    heuristic mode class ``c`` draws its random orders from seed ``c``
+    and step 2's blocks from seed 0, so the outcome is a function of
+    ``inst`` alone.  In exact mode a search that reaches ``node_limit`` without a proof hands
     over its incumbent packing: the heuristic finishes all three steps
     with it and lists that class, or step 2's blocks, in
     ``trace.unproved``.  The solution is feasible and costs ``psi_bar``
@@ -154,7 +132,7 @@ def cha(
     has room for its items.
     """
     packings, unproved = [], []
-    steps = _class_packings(inst, bpp_mode, node_limit, perm_count, seed)
+    steps = _class_packings(inst, bpp_mode, node_limit)
     for c, (packing, stop) in zip(inst.classes, steps):
         packings.append(packing)
         if stop is not None:
@@ -183,9 +161,7 @@ def cha(
             ),
             capacity=inst.capacity,
         )
-        agg_packing, stop = _solve_or_stop(
-            agg, bpp_mode, node_limit, perm_count, seed
-        )
+        agg_packing, stop = _pack(agg, bpp_mode, node_limit, 0)
         if stop is not None:
             unproved.append(STEP2_BLOCKS)
         termination, delta = TERM_STEP2, agg_packing.bin_count
@@ -228,8 +204,6 @@ def k_upper(
     bpp_mode: str = BPP_EXACT,
     *,
     node_limit: int = bpp.DEFAULT_NODE_LIMIT,
-    perm_count: int = 50,
-    seed: int = 0,
 ) -> int:
     """Upper bound on the bins used by any optimal solution.
 
@@ -240,9 +214,7 @@ def k_upper(
     is solved: the count is returned only when every class is proved.
     """
     total = 0
-    for packing, stop in _class_packings(
-        inst, bpp_mode, node_limit, perm_count, seed
-    ):
+    for packing, stop in _class_packings(inst, bpp_mode, node_limit):
         if stop is not None:
             raise stop
         total += packing.bin_count

@@ -45,20 +45,20 @@ class ExactResult:
     nodes: int
 
 
-def brute_force(
-    inst: Instance, max_items: int = BRUTE_FORCE_MAX_ITEMS
-) -> ExactResult:
+def brute_force(inst: Instance) -> ExactResult:
     """Enumerate all set partitions and return the cheapest feasible one.
 
     Items are assigned in index order; item ``i`` may join any existing
     block or open the next fresh block, which enumerates partitions in
     lexicographic restricted-growth order.  Blocks that would burst the
     capacity are discarded immediately.  Among equal-cost optima the
-    lexicographically smallest assignment string wins.
+    lexicographically smallest assignment string wins.  An instance of
+    more than :data:`BRUTE_FORCE_MAX_ITEMS` items raises ``ValueError``.
     """
-    if inst.n > max_items:
+    if inst.n > BRUTE_FORCE_MAX_ITEMS:
         raise ValueError(
-            f"brute force limited to {max_items} items, instance has {inst.n}"
+            f"brute force limited to {BRUTE_FORCE_MAX_ITEMS} items, "
+            f"instance has {inst.n}"
         )
     d = inst.capacity
     r = inst.bin_cost
@@ -139,7 +139,9 @@ def branch_and_bound(
     is an ``expand`` generator.  :func:`bpps.bpp.depth_first` drives them,
     counts every node, built or not, and applies both limits.  When a
     limit is hit the incumbent and the root bound are returned with status
-    ``limit-reached``.  ``inst`` is valid by construction: no data check.
+    ``limit-reached``, unless the incumbent is at the root bound: that
+    closed bracket is a proof, returned ``optimal`` with the nodes walked.
+    ``inst`` is valid by construction: no data check.
     """
     best_solution, trace = cha(inst, BPP_HEURISTIC)
     best_cost = trace.psi_bar
@@ -237,8 +239,6 @@ def branch_and_bound(
     root_lb = r * ceil_div(total_weight + sum_s, d) + sum_f
     root = expand(0, 0) if root_lb < best_cost else iter(())
     nodes, finished = depth_first(root, node_limit, deadline)
-    if not finished:
-        return ExactResult(
-            best_cost, best_solution, STATUS_LIMIT, min(root_lb, best_cost), nodes
-        )
+    if not finished and root_lb < best_cost:
+        return ExactResult(best_cost, best_solution, STATUS_LIMIT, root_lb, nodes)
     return ExactResult(best_cost, best_solution, STATUS_OPTIMAL, best_cost, nodes)

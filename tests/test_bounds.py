@@ -186,4 +186,4 @@ def test_formatting_helpers():
     assert format_decimal(Fraction(127, 3)) == "42.33"
     assert format_decimal(Fraction(49)) == "49.00"
     assert format_decimal(Fraction(-1, 8)) == "-0.12"
-    assert format_decimal(Fraction(55, 1000), 2) == "0.06"
+    assert format_decimal(Fraction(55, 1000)) == "0.06"

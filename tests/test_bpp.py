@@ -9,6 +9,7 @@ import pytest
 from bpps.bounds import ceil_div
 from bpps.bpp import (
     FIT_RULES,
+    PERM_COUNT,
     RULE_FIRST_FIT,
     BppInstance,
     NodeLimitExceeded,
@@ -177,6 +178,14 @@ class TestFitHeuristic:
         with pytest.raises(ValueError):
             fit_heuristic(bi, "FF", (1, 1))
 
+    def test_one_shot_order_is_read_once(self):
+        # The permutation check must not use up an iterator or generator.
+        bi = BppInstance((3, 3, 2), 5)
+        want = fit_heuristic(bi, "FF", (1, 2, 3))
+        assert want.bins == ((1, 3), (2,))
+        assert fit_heuristic(bi, "FF", iter((1, 2, 3))) == want
+        assert fit_heuristic(bi, "FF", (i for i in range(1, 4))) == want
+
     def test_output_always_feasible(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -206,16 +215,20 @@ class TestHeuristicBeta:
 
     def test_deterministic_given_seed(self):
         bi = BppInstance((7, 5, 4, 4, 3, 2, 2, 1), 9)
-        runs = {heuristic_beta(bi, perm_count=50, seed=123) for _ in range(3)}
+        runs = {heuristic_beta(bi, seed=123) for _ in range(3)}
         assert len(runs) == 1
         assert heuristic_packing(bi, seed=123) == heuristic_packing(bi, seed=123)
 
     def test_decreasing_order_is_first_permutation(self):
         bi = BppInstance((6, 4, 4, 6), 10)
         assert decreasing_order(bi) == (1, 4, 2, 3)
-        # With a single permutation only the sorted order is used, and
-        # first-fit-decreasing already attains the optimum here.
-        assert heuristic_beta(bi, perm_count=1, seed=0) == 2
+        # First-fit-decreasing reaches the volume bound here, so the search
+        # stops at the sorted order, before any random one is drawn.
+        ffd = fit_heuristic(bi, RULE_FIRST_FIT, decreasing_order(bi))
+        assert ffd.bin_count == bi.volume_bound() == 2
+        for seed in (0, 1, 7):
+            assert heuristic_packing(bi, seed) == ffd
+            assert heuristic_beta(bi, seed) == 2
 
     def test_matches_eager_reference(self):
         rng = random.Random(41)
@@ -235,11 +248,10 @@ class TestHeuristicBeta:
                 BppInstance(tuple(rng.randint(1, cap) for _ in range(n)), cap)
             )
         for bi in instances:
-            for perm_count in (1, 2, 50):
-                for seed in (0, 1, 7, 123):
-                    count, packing = eager_heuristic_search(bi, perm_count, seed)
-                    assert heuristic_beta(bi, perm_count, seed) == count
-                    assert heuristic_packing(bi, perm_count, seed) == packing
+            for seed in (0, 1, 7, 123):
+                count, packing = eager_heuristic_search(bi, PERM_COUNT, seed)
+                assert heuristic_beta(bi, seed) == count
+                assert heuristic_packing(bi, seed) == packing
 
     def test_never_below_exact(self):
         rng = random.Random(5)
@@ -247,7 +259,7 @@ class TestHeuristicBeta:
             n = rng.randint(1, 10)
             cap = rng.randint(3, 15)
             bi = BppInstance(tuple(rng.randint(1, cap) for _ in range(n)), cap)
-            assert heuristic_beta(bi, perm_count=10, seed=1) >= exact_beta(bi)
+            assert heuristic_beta(bi, seed=1) >= exact_beta(bi)
 
 
 class TestExactBeta:

@@ -156,7 +156,7 @@ def test_cha_k_upper_matches_k_upper(tmp_path, capsys, mode):
     assert f"k_upper = {expected}" in lines
 
 
-def test_cha_allow_trivial_packs_one_bin(tmp_path, capsys):
+def test_cha_packs_a_trivial_instance_in_one_bin(tmp_path, capsys):
     path = tmp_path / "trivial.txt"
     write_instance(Instance((1, 2, 3), 20, (1, 2, 2), (2, 1), (3, 4), 10), path)
     assert main(["cha", "--instance", str(path)]) == EXIT_OK
@@ -548,6 +548,12 @@ TRIVIAL_ANSWERS = {
         ["status = optimal\n", "psi = 17\n", "nodes = 1\n", ONE_BIN],
     ),
     "solve-brute": (["solve", "--method", "brute"], ["status = optimal\n", "psi = 17\n", ONE_BIN]),
+    # The search stops at once, with its incumbent already at the root
+    # bound: a closed bracket, which is a proof.
+    "solve-bnb-limit-0": (
+        ["solve", "--method", "bnb", "--node-limit", "0"],
+        ["status = optimal\n", "psi = 17\n", "lower_bound = 17\n", "nodes = 1\n", ONE_BIN],
+    ),
     "emit-model-n": (["emit-model", "--variant", "n"], ["variant N (k=3, "]),
     "emit-model-dag": (["emit-model", "--variant", "dag"], ["variant DAG (k=3, "]),
     "emit-model-ddag": (["emit-model", "--variant", "ddag"], ["variant DDAG (k=3, "]),

@@ -8,6 +8,7 @@ from bpps.bounds import gamma, k_lower, zeta_lp_dag, zeta_lp_ddag, zeta_lp_n
 from bpps.cha import BPP_EXACT, cha, k_upper
 from bpps.core import Instance, active_classes, check_feasible, solution_cost
 from bpps.exact import (
+    BRUTE_FORCE_MAX_ITEMS,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     branch_and_bound,
@@ -34,9 +35,11 @@ class TestBruteForce:
         assert result.psi == 4
         assert result.solution.bin_count == 4
 
-    def test_size_cap(self, fig1):
+    def test_size_cap(self):
+        inst = Instance((1,) * 13, 20, (1,) * 13, (1,), (0,), 1)
+        assert inst.n == BRUTE_FORCE_MAX_ITEMS + 1
         with pytest.raises(ValueError):
-            brute_force(fig1, max_items=4)
+            brute_force(inst)
 
     def test_lexicographic_tie_break(self):
         # Any two of the three items share a bin at equal cost; the

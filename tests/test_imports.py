@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and
-instance validation stays in ``core``.
+"""Every name a library module imports is used in that module,
+instance validation stays in ``core``, and the heuristic path takes only
+the settings its callers set.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -7,11 +8,16 @@ The package's ``__init__`` is left out: it imports only to re-export.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import bpps
+from bpps.bounds import format_decimal
+from bpps.bpp import heuristic_beta, heuristic_packing
+from bpps.cha import cha, k_upper
+from bpps.exact import brute_force
 
 MODULES = sorted(
     p for p in Path(bpps.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -81,3 +87,21 @@ def test_the_check_sees_a_validator_outside_core():
 )
 def test_only_core_validates_instances(path):
     assert validator_uses(path.read_text(encoding="utf-8")) == []
+
+
+#: Each function's parameters.  Every value a caller sets stays; one no
+#: caller sets is a constant: ``bpp.PERM_COUNT`` orders, class ``c``
+#: seeded ``c``, ``exact.BRUTE_FORCE_MAX_ITEMS`` items and two places.
+SIGNATURES = {
+    cha: ["inst", "bpp_mode", "node_limit"],
+    k_upper: ["inst", "bpp_mode", "node_limit"],
+    heuristic_beta: ["bi", "seed"],
+    heuristic_packing: ["bi", "seed"],
+    brute_force: ["inst"],
+    format_decimal: ["value"],
+}
+
+
+@pytest.mark.parametrize("func", SIGNATURES, ids=lambda f: f.__name__)
+def test_the_heuristic_path_takes_only_the_settings_callers_set(func):
+    assert list(inspect.signature(func).parameters) == SIGNATURES[func]
