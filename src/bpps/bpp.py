@@ -3,16 +3,20 @@
 Used to bound, per class, how many bins the class needs once its setup
 weight is subtracted from the capacity: fit heuristics (next/first/best
 fit) run under many item orders give an upper bound quickly, and a small
-branch-and-bound gives the exact optimum at desk scale.  Besides the
-volume and cardinality bounds, that search charges the room an open bin
-loses below the smallest item weight (the wasted-space bound of bin
-completion, Korf 2003), and places an item of the same weight as the one
-before it only in that item's bin or a later one.  Where first-fit
-decreasing misses those bounds, the search starts from a minimum-slack
-packing instead when that uses fewer bins (each bin filled as full as a
-subset-sum over the items left allows; Gupta & Ho 1999), so a class that
-packing brings down to the bound is proved at the root.  It and the BPPS
-branch-and-bound in :mod:`bpps.exact` both run on
+branch-and-bound gives the exact optimum at desk scale.  Both share one
+floor, the larger of the volume and cardinality bounds, and one fit
+kernel that stops a fit once it cannot end within a given bin count: the
+heuristic search gives each fit one bin fewer than its best packing, so
+a fit that cannot win stops early, and the search ends at the floor.
+Neither stop changes a result.  Besides the floor, the exact search
+charges the room an open bin loses below the smallest item weight (the
+wasted-space bound of bin completion, Korf 2003), and places an item of
+the same weight as the one before it only in that item's bin or a later
+one.  Where first-fit decreasing misses those bounds, the search starts
+from a minimum-slack packing instead when that uses fewer bins (each bin
+filled as full as a subset-sum over the items left allows; Gupta & Ho
+1999), so a class that packing brings down to the bound is proved at the
+root.  It and the BPPS branch-and-bound in :mod:`bpps.exact` both run on
 :func:`depth_first`, an explicit-stack walk that owns the node count and
 the limits.  Each search tests a child's bound in the parent, just before
 yielding it, and yields a pruned child or a leaf as ``None``: a node that
@@ -26,6 +30,7 @@ Fisher-Yates pass); results are therefore reproducible from the seed alone.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -171,37 +176,86 @@ def fit_heuristic(
     """
     if rule not in FIT_RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    order = tuple(order)  # read once: the check must not use it up
+    try:  # read once: the check must not use it up
+        order = tuple(map(operator.index, order))
+    except TypeError:
+        raise ValueError("order must be a permutation of 1..n") from None
     if sorted(order) != list(range(1, bi.n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    cap = bi.capacity
+    return _packed(_fit(bi, rule, order, bi.n))
+
+
+def _packed(bins: Sequence[Sequence[int]]) -> BppPacking:
+    return BppPacking(tuple(map(tuple, bins)))
+
+
+def _floor(bi: BppInstance) -> int:
+    """Bins every packing needs: the volume bound or, when larger, the
+    cardinality bound ``ceil(n / (capacity // smallest weight))``."""
+    return max(bi.volume_bound(), ceil_div(bi.n, bi.capacity // min(bi.weights)))
+
+
+def _fit(
+    bi: BppInstance, rule: str, order: Sequence[int], most: int
+) -> list[list[int]] | None:
+    """The bins of ``rule`` on ``order``, or ``None`` if it needs more than
+    ``most`` bins.
+
+    The fit stops as soon as it cannot end within ``most`` bins: when it
+    would open bin ``most + 1``, or when the room it has lost passes
+    ``most * capacity - total weight``.  Room is lost in a bin too full for
+    the smallest item, and under NF in every bin it leaves behind; no item
+    fills it later, so a packing in ``most`` bins can lose no more.  A bound
+    of ``n`` bins never stops a fit.  FF and BF scan from ``live``, the
+    first bin that can still take the smallest item.
+    """
+    cap, weights = bi.capacity, bi.weights
+    dead = cap - min(weights)  # a bin loaded past this takes no more items
+    slack = most * cap - bi.total_weight  # the most room the fit may lose
+    next_fit, first_fit = rule == RULE_NEXT_FIT, rule == RULE_FIRST_FIT
+    lost = live = 0
     loads: list[int] = []
     bins: list[list[int]] = []
     for i in order:
-        w = bi.weights[i - 1]
+        w = weights[i - 1]
+        room = cap - w  # the most load a bin may hold to take the item
         target = -1
-        if rule == RULE_NEXT_FIT:
-            if loads and loads[-1] + w <= cap:
-                target = len(loads) - 1
-        elif rule == RULE_FIRST_FIT:
-            for b, load in enumerate(loads):
-                if load + w <= cap:
+        if next_fit:
+            if loads:
+                if loads[-1] <= room:
+                    target = len(loads) - 1
+                elif loads[-1] <= dead:  # left behind while still live
+                    lost += cap - loads[-1]
+                    if lost > slack:
+                        return None
+        elif first_fit:
+            for b in range(live, len(loads)):
+                if loads[b] <= room:
                     target = b
                     break
         else:
-            best_residual = cap + 1
-            for b, load in enumerate(loads):
-                residual = cap - load
-                if w <= residual < best_residual:
-                    best_residual = residual
-                    target = b
+            fullest = -1
+            for b in range(live, len(loads)):
+                load = loads[b]
+                if fullest < load <= room:
+                    fullest, target = load, b
         if target < 0:
+            if len(loads) == most:
+                return None
+            target = len(loads)
             loads.append(w)
             bins.append([i])
         else:
             loads[target] += w
             bins[target].append(i)
-    return BppPacking(tuple(tuple(b) for b in bins))
+        if loads[target] > dead:
+            lost += cap - loads[target]
+            if lost > slack:
+                return None
+            if target == live:
+                while live < len(loads) and loads[live] > dead:
+                    live += 1
+    return bins
 
 
 def _heuristic_search(bi: BppInstance, seed: int) -> tuple[int, BppPacking]:
@@ -209,25 +263,29 @@ def _heuristic_search(bi: BppInstance, seed: int) -> tuple[int, BppPacking]:
 
     Random orders are drawn one at a time, only when the loop reaches them,
     from a single seeded stream, so order k is the same however early the
-    search stops.  No packing can beat the volume bound, so the first one
-    that reaches it is returned.
+    search stops.  Only a packing with fewer bins than the best replaces
+    it, so each fit gets the best count less one as its bound and stops
+    once it cannot end within it (:func:`_fit`).  No packing can beat
+    :func:`_floor`, so the first one that reaches it is returned.  Neither
+    stop changes the result.
     """
-    floor = bi.volume_bound()
+    floor = _floor(bi)
     rng = random.Random(seed)
     base = list(range(1, bi.n + 1))
     order: Sequence[int] = decreasing_order(bi)
-    best: tuple[int, BppPacking] | None = None
+    best: list[list[int]] = []
+    most = bi.n
     for k in range(PERM_COUNT):
         if k:
             order = base[:]
             rng.shuffle(order)
         for rule in FIT_RULES:
-            packing = fit_heuristic(bi, rule, order)
-            if best is None or packing.bin_count < best[0]:
-                best = (packing.bin_count, packing)
-                if best[0] == floor:
-                    return best
-    return best
+            bins = _fit(bi, rule, order, most)
+            if bins is not None:
+                best, most = bins, len(bins) - 1
+                if most < floor:
+                    return len(best), _packed(best)
+    return len(best), _packed(best)
 
 
 def heuristic_beta(bi: BppInstance, seed: int = 0) -> int:
@@ -236,7 +294,9 @@ def heuristic_beta(bi: BppInstance, seed: int = 0) -> int:
     The first order is always non-increasing weight; the remaining
     ``PERM_COUNT - 1`` are random permutations from the generator seeded
     ``seed``.  The search stops at the first packing that reaches the
-    volume bound.
+    floor ``max(ceil(total weight / capacity), ceil(n / (capacity //
+    smallest weight)))``, and each fit stops once it cannot beat the best
+    packing so far; neither stop changes the result.
     """
     return _heuristic_search(bi, seed)[0]
 
@@ -318,10 +378,9 @@ def _exact_search(
     subtrees) or into a single fresh bin.  An item of the same weight as
     the one before it goes only to that item's bin or a later one: equal
     items are interchangeable, so every packing has a twin that places
-    them in bin order.  Every packing needs at least ``floor`` bins, the
-    larger of the volume bound and the cardinality bound
-    ``ceil(n / (capacity // smallest weight))``.  Room below the smallest
-    weight in an open bin can never be filled, so it is charged as waste:
+    them in bin order.  Every packing needs at least ``floor`` bins
+    (:func:`_floor`).  Room below the smallest weight in an open bin can
+    never be filled, so it is charged as waste:
     ``k`` bins can hold the items only if ``k * capacity`` covers the total
     weight plus the waste.  A node is pruned when ``max(open bins, floor)``
     reaches the incumbent or when the waste rules out a packing with fewer
@@ -346,11 +405,10 @@ def _exact_search(
     weights = [bi.weights[i - 1] for i in order]
     n, cap = bi.n, bi.capacity
     w_min = weights[-1]  # the smallest weight not yet placed, at every depth
-    floor = max(ceil_div(n, cap // w_min), bi.volume_bound())
+    floor = _floor(bi)
 
-    start = fit_heuristic(bi, RULE_FIRST_FIT, order)
-    best_count = start.bin_count
-    best_bins: Sequence[Sequence[int]] = start.bins
+    best_bins: Sequence[Sequence[int]] = _fit(bi, RULE_FIRST_FIT, order, n)
+    best_count = len(best_bins)
     if floor < best_count:
         slack_bins = _min_slack_bins(weights, cap, node_limit, best_count)
         if slack_bins is not None:

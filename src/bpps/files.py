@@ -21,6 +21,7 @@ bytes; readers ignore comments and blank lines.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -168,7 +169,8 @@ def parse_solution(text: str) -> tuple[str, Solution]:
             items = [int(v) for v in line.split()]
             block = frozenset(items)
             if len(block) < len(items):
-                twice = next(i for i in items if items.count(i) > 1)
+                counts = Counter(items)
+                twice = next(i for i in items if counts[i] > 1)
                 raise FileFormatError(f"bin {b} lists item {twice} more than once")
             bins.append(block)
     except (ValueError, IndexError) as exc:

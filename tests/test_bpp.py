@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from bpps import bpp
 from bpps.bounds import ceil_div
 from bpps.bpp import (
     FIT_RULES,
@@ -13,6 +14,7 @@ from bpps.bpp import (
     RULE_FIRST_FIT,
     BppInstance,
     NodeLimitExceeded,
+    _fit,
     _min_slack_bins,
     decreasing_order,
     depth_first,
@@ -24,7 +26,7 @@ from bpps.bpp import (
 )
 from bpps.cha import class_bpp
 from bpps.core import MAX_VALUE
-from bpps.gen import COST_WITH, GeneratorConfig, generate
+from bpps.gen import COST_WITH, GeneratorConfig, generate, generate_benchmark
 from conftest import allocates_at_most
 
 
@@ -186,6 +188,16 @@ class TestFitHeuristic:
         assert fit_heuristic(bi, "FF", iter((1, 2, 3))) == want
         assert fit_heuristic(bi, "FF", (i for i in range(1, 4))) == want
 
+    def test_order_entries_are_read_as_integers(self):
+        # 1.0 == True == 1, so only reading each entry as an integer tells a
+        # float, an error, from True, item 1.
+        bi = BppInstance((3, 3, 2), 5)
+        with pytest.raises(ValueError, match="^order must be a permutation of 1..n$"):
+            fit_heuristic(bi, "FF", (1.0, 2.0, 3.0))
+        packing = fit_heuristic(bi, "FF", (True, 2, 3))
+        assert packing == fit_heuristic(bi, "FF", (1, 2, 3))
+        assert type(packing.bins[0][0]) is int
+
     def test_output_always_feasible(self):
         rng = random.Random(3)
         for _ in range(100):
@@ -198,6 +210,29 @@ class TestFitHeuristic:
                 packing = fit_heuristic(bi, rule, order)
                 assert packing_is_feasible(bi, packing)
                 assert packing.bin_count <= n
+
+
+class TestFit:
+    def test_stops_exactly_when_the_fit_needs_more_than_most_bins(self):
+        rng = random.Random(43)
+        stopped = 0
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            cap = rng.randint(3, 30)
+            low = rng.choice((1, cap // 3 + 1, cap // 2 + 1))
+            bi = BppInstance(tuple(rng.randint(low, cap) for _ in range(n)), cap)
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            for rule in FIT_RULES:
+                full = fit_heuristic(bi, rule, order)
+                for most in range(n + 1):
+                    bins = _fit(bi, rule, order, most)
+                    if full.bin_count > most:
+                        assert bins is None, (bi, rule, order, most)
+                        stopped += 1
+                    else:
+                        assert tuple(map(tuple, bins)) == full.bins
+        assert stopped > 1000, stopped
 
 
 class TestHeuristicBeta:
@@ -247,11 +282,49 @@ class TestHeuristicBeta:
             instances.append(
                 BppInstance(tuple(rng.randint(1, cap) for _ in range(n)), cap)
             )
+        # Many equal small items: the cardinality bound, above the volume
+        # bound, stops the search.
+        for _ in range(10):
+            cap = rng.randint(5, 40)
+            w = rng.randint(cap // 3 + 1, cap // 2)
+            instances.append(BppInstance((w,) * rng.randint(5, 40), cap))
+        # Items above a third of the bin: fits stop on lost room.
+        for _ in range(20):
+            cap = rng.randint(10, 60)
+            n = rng.randint(4, 16)
+            instances.append(
+                BppInstance(tuple(rng.randint(cap // 3 + 1, cap) for _ in range(n)), cap)
+            )
         for bi in instances:
             for seed in (0, 1, 7, 123):
                 count, packing = eager_heuristic_search(bi, PERM_COUNT, seed)
                 assert heuristic_beta(bi, seed) == count
                 assert heuristic_packing(bi, seed) == packing
+
+    def test_matches_eager_reference_on_the_grid_classes(self):
+        # Every class subproblem of the base-seed-0 grid, class c seeded c.
+        for _, inst in generate_benchmark(0):
+            for c in range(1, inst.m + 1):
+                bi = class_bpp(inst, c)
+                count, packing = eager_heuristic_search(bi, PERM_COUNT, c)
+                assert heuristic_beta(bi, c) == count
+                assert heuristic_packing(bi, c) == packing
+
+    def test_cardinality_bound_stops_the_search_at_the_first_order(self, monkeypatch):
+        # Two of 1,200 items of weight 7 fit a bin of 20: first-fit
+        # decreasing packs the 600 bins the cardinality bound asks, above
+        # the volume bound of 420, so no random order is drawn.
+        shuffles = []
+
+        class Counting(random.Random):
+            def shuffle(self, x):
+                shuffles.append(1)
+                super().shuffle(x)
+
+        monkeypatch.setattr(bpp.random, "Random", Counting)
+        bi = BppInstance((7,) * 1200, 20)
+        assert heuristic_packing(bi).bin_count == 600
+        assert shuffles == []
 
     def test_never_below_exact(self):
         rng = random.Random(5)

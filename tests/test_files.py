@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from bpps.core import Solution
@@ -80,6 +82,23 @@ def test_solution_format_errors():
 def test_solution_item_listed_twice_in_a_bin():
     with pytest.raises(FileFormatError, match="^bin 2 lists item 3 more than once$"):
         parse_solution("BPPS-SOL 1\nname 2\n1 2\n3 4 3\n")
+
+
+def test_solution_item_listed_twice_names_the_first_repeated_item():
+    # Item 5 repeats first, but item 3 comes first in listing order.
+    with pytest.raises(FileFormatError, match="^bin 1 lists item 3 more than once$"):
+        parse_solution("BPPS-SOL 1\nname 1\n3 5 5 3\n")
+
+
+def test_solution_repeat_at_the_end_of_a_long_bin_is_found_in_one_pass():
+    # Counting the bin once per item took minutes on a bin this long.
+    items = " ".join(map(str, [*range(1, 100_001), 100_000]))
+    start = time.perf_counter()
+    with pytest.raises(
+        FileFormatError, match="^bin 1 lists item 100000 more than once$"
+    ):
+        parse_solution(f"BPPS-SOL 1\nname 1\n{items}\n")
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 
 import bpps
 from bpps.bounds import format_decimal
-from bpps.bpp import heuristic_beta, heuristic_packing
+from bpps.bpp import fit_heuristic, heuristic_beta, heuristic_packing
 from bpps.cha import cha, k_upper
 from bpps.exact import brute_force
 
@@ -97,6 +97,7 @@ SIGNATURES = {
     k_upper: ["inst", "bpp_mode", "node_limit"],
     heuristic_beta: ["bi", "seed"],
     heuristic_packing: ["bi", "seed"],
+    fit_heuristic: ["bi", "rule", "order"],
     brute_force: ["inst"],
     format_decimal: ["value"],
 }
