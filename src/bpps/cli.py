@@ -213,7 +213,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_emit_model(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     model = milp.build_model(
-        inst, _VARIANT_FLAGS[args.variant], exact_bin_bound=args.exact_kbar
+        inst,
+        _VARIANT_FLAGS[args.variant],
+        exact_bin_bound=args.exact_kbar,
+        node_limit=args.node_limit,
     )
     milp.emit_lp_file(model, args.out)
     print(
@@ -335,6 +338,15 @@ def _at_least_zero(cast: Callable[[str], float], what: str) -> Callable[[str], f
     return parse
 
 
+def _add_class_node_limit(p: argparse.ArgumentParser, when: str) -> None:
+    p.add_argument(
+        "--node-limit",
+        type=_at_least_zero(int, "an integer"),
+        default=exact.DEFAULT_NODE_LIMIT,
+        help=f"nodes each per-class search may take {when}",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bpps", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,12 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cha", help="run the constructive heuristic")
     p.add_argument("--instance", required=True)
     p.add_argument("--bpp-mode", choices=BPP_MODES, default=BPP_EXACT)
-    p.add_argument(
-        "--node-limit",
-        type=_at_least_zero(int, "an integer"),
-        default=exact.DEFAULT_NODE_LIMIT,
-        help="nodes each per-class search may take in exact mode (heuristic mode ignores it)",
-    )
+    _add_class_node_limit(p, "in exact mode (heuristic mode ignores it)")
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_cha)
 
@@ -391,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="size the star variant with exact per-class packing",
     )
+    _add_class_node_limit(p, "with --exact-kbar (ignored otherwise)")
     p.set_defaults(func=_cmd_emit_model)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")

@@ -4,11 +4,12 @@
 restricted-growth strings) and keeps the cheapest feasible one, making it
 an oracle that is independent of any bounding machinery.
 ``branch_and_bound`` searches the same space with the closed-form
-relaxation value as node bound and a constructive-heuristic incumbent,
-reaching some way past brute-force sizes.  It runs on
-:func:`bpps.bpp.depth_first`, which keeps its own stack, so no instance is
-too deep for it.  ``brute_force`` stays a plain recursion that shares no
-code with the search it checks; its item cap keeps it shallow.
+relaxation value as node bound, probing costs from the root bound up to a
+constructive-heuristic incumbent, and reaches some way past brute-force
+sizes.  It runs on :func:`bpps.bpp.depth_first`, which keeps its own
+stack, so no instance is too deep for it.  ``brute_force`` stays a plain
+recursion that shares no code with the search it checks; its item cap
+keeps it shallow.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def branch_and_bound(
     node_limit: int = DEFAULT_NODE_LIMIT,
     time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExactResult:
-    """Depth-first exact search with the closed-form relaxation as bound.
+    """Depth-first exact search that probes costs from the root bound up.
 
     Items are assigned in non-increasing weight order to every open bin
     with room (skipping bins whose load and active-class set duplicate an
@@ -127,21 +128,30 @@ def branch_and_bound(
     ``c`` of ``mask`` is set when class ``c`` is active in the bin; equal
     states are the symmetric bins, a fresh bin is state 0, and placing an
     item adds one of two per-depth increments to the state.  A trail
-    records each item's bin; the bins themselves are built only when a
-    leaf improves the incumbent.  The incumbent starts from the
-    constructive heuristic; on a trivial instance (everything fits one
-    bin) that is the optimal one-bin packing.  A node is pruned when the
-    bound of its partial packing reaches the incumbent.  The parent makes
-    that test for each child just before yielding it, from the child's
-    own increments, and yields a pruned child and a leaf as ``None``; the
-    root is tested once before the walk.  A leaf that improves the
-    incumbent is recorded as the parent resumes after it.  Each other node
-    is an ``expand`` generator.  :func:`bpps.bpp.depth_first` drives them,
-    counts every node, built or not, and applies both limits.  When a
-    limit is hit the incumbent and the root bound are returned with status
-    ``limit-reached``, unless the incumbent is at the root bound: that
-    closed bracket is a proof, returned ``optimal`` with the nodes walked.
-    ``inst`` is valid by construction: no data check.
+    records each item's bin; the bins themselves are built only at a
+    leaf.  The incumbent starts from the constructive heuristic; on a
+    trivial instance (everything fits one bin) that is the optimal one-bin
+    packing.  Costs are integers, so the search is a series of probes
+    with a target ``T`` (iterative deepening on the objective), the first
+    ``T`` being the root bound, ``zeta_ddag`` rounded up.  A probe prunes
+    each node whose partial packing's bound exceeds ``T``.  A full
+    packing's bound is its cost, and every cost below ``T`` is refuted, so
+    a leaf the probe reaches costs ``T``, is optimal and ends the search.
+    A probe that ends without one proves the optimum above ``T``, and the
+    next ``T`` is the smallest bound it pruned, since every packing lies
+    below a pruned node.  Once ``T`` reaches the incumbent, the heuristic's
+    packing is optimal.  The parent tests each child just before yielding
+    it, from the child's own increments, and yields a pruned child and a
+    leaf as ``None``; a leaf is recorded as the parent resumes after it.
+    Each other node is an ``expand`` generator.
+    :func:`bpps.bpp.depth_first` drives each probe, counts every node,
+    built or not, its root included, and applies both limits; the probes
+    share one node limit and one deadline, and once 1,024 nodes are walked
+    the clock is also read between probes.  When a limit is hit the
+    incumbent is returned with status ``limit-reached`` and, as lower
+    bound, the target of the probe it stopped, the last one not refuted.
+    A root bound at the incumbent proves it in one node.  ``inst`` is
+    valid by construction: no data check.
     """
     best_solution, trace = cha(inst, BPP_HEURISTIC)
     best_cost = trace.psi_bar
@@ -174,7 +184,7 @@ def branch_and_bound(
 
     def expand(idx: int, k: int) -> Iterator:
         # The node after depth idx - 1 with k open bins; it passed its test.
-        nonlocal best_cost, best_solution, sum_s, sum_f
+        nonlocal best_cost, best_solution, sum_s, sum_f, above
         add_active, add_fresh, c, bit, gc, s, fc = rows[idx]
         leaves = idx + 1 == n  # the children are full packings
         # Valid lower bound on any completion of a partial packing: a class
@@ -207,19 +217,22 @@ def branch_and_bound(
                 continue
             seen.add(state)
             lb = (lb_new if b == k else lb_fresh) if fresh else lb_active
-            if lb >= best_cost:
+            if lb > target:
+                if lb < above:
+                    above = lb
                 yield None
                 continue
             where[idx] = b
             if leaves:
-                # Improves the incumbent; recorded only if the walk resumes.
+                # Costs the target, so it is optimal; recorded only if the
+                # walk resumes, and then the probe ends.
                 yield None
                 best_cost = lb
                 bins: list[list[int]] = [[] for _ in range(k + (b == k))]
                 for i, bin_ in zip(order, where):
                     bins[bin_].append(i)
                 best_solution = Solution(tuple(map(frozenset, bins)))
-                continue
+                return
             states[b] = new
             if fresh:
                 act_count[c] += 1
@@ -233,12 +246,20 @@ def branch_and_bound(
                     sum_f -= fc
                 act_count[c] -= 1
             states[b] = state
+            if best_cost == target:  # a leaf below costs the target
+                return
 
-    # The same bound at the root, zeta_ddag, is its test and the lower
-    # bound returned when a limit stops the search.
-    root_lb = r * ceil_div(total_weight + sum_s, d) + sum_f
-    root = expand(0, 0) if root_lb < best_cost else iter(())
-    nodes, finished = depth_first(root, node_limit, deadline)
-    if not finished and root_lb < best_cost:
-        return ExactResult(best_cost, best_solution, STATUS_LIMIT, root_lb, nodes)
-    return ExactResult(best_cost, best_solution, STATUS_OPTIMAL, best_cost, nodes)
+    # The same bound at the root, zeta_ddag rounded up, is the first target;
+    # above is the smallest bound past the target that a probe has pruned.
+    target = r * ceil_div(total_weight + sum_s, d) + sum_f
+    nodes = 0
+    while target < best_cost:
+        if nodes >= 1024 and time.monotonic() > deadline:
+            return ExactResult(best_cost, best_solution, STATUS_LIMIT, target, nodes)
+        above = best_cost
+        walked, finished = depth_first(expand(0, 0), node_limit - nodes, deadline)
+        nodes += walked
+        if not finished:
+            return ExactResult(best_cost, best_solution, STATUS_LIMIT, target, nodes)
+        target = above  # past best_cost once a leaf has cost the target
+    return ExactResult(best_cost, best_solution, STATUS_OPTIMAL, best_cost, nodes or 1)

@@ -140,11 +140,15 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
 
     Class labels are redrawn as a whole sequence until every class is hit,
     which keeps the assignment uniform conditioned on all classes being
-    nonempty.  In the unlikely event the drawn instance is trivial (it
-    would fit one bin entirely), everything is redrawn from the
-    continuing streams.  A config whose redraws run out (labels that keep
-    missing a class, or draws that always fit one bin) raises
-    ``ValueError``.
+    nonempty.  When ``_MAX_REDRAWS`` draws in a row miss a class (likely
+    only with ``n`` close to ``m``), the labels fall back to one item of
+    every class plus ``n - m`` uniform labels, shuffled from the same
+    stream.  That draw always hits every class, but it is not uniform over
+    the sequences that do: it favours sequences whose classes are evenly
+    sized.  In the unlikely event the drawn instance is trivial (it would
+    fit one bin entirely), everything is redrawn from the continuing
+    streams.  A config whose draws always fit one bin raises
+    ``ValueError`` once its redraws run out.
     """
     rng_labels = _stream(cfg.seed, _FIELD_LABELS)
     rng_weights = _stream(cfg.seed, _FIELD_WEIGHTS)
@@ -155,18 +159,15 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
     class_redraws = 0
     trivial_redraws = 0
     for _ in range(_MAX_REDRAWS):
-        labels = None
         for _ in range(_MAX_REDRAWS):
-            candidate = [rng_labels.randint(1, cfg.m) for _ in range(cfg.n)]
-            if len(set(candidate)) == cfg.m:
-                labels = candidate
+            labels = [rng_labels.randint(1, cfg.m) for _ in range(cfg.n)]
+            if len(set(labels)) == cfg.m:
                 break
             class_redraws += 1
-        if labels is None:
-            raise ValueError(
-                f"class labels missed some of the {cfg.m} classes"
-                f" in {_MAX_REDRAWS} draws of {cfg.n} items"
-            )
+        else:  # every draw missed a class: cover them all first
+            labels = list(range(1, cfg.m + 1))
+            labels += [rng_labels.randint(1, cfg.m) for _ in range(cfg.n - cfg.m)]
+            rng_labels.shuffle(labels)
         weights = [rng_weights.randint(w_lo, w_hi) for _ in range(cfg.n)]
         setups = [rng_setups.randint(s_lo, s_hi) for _ in range(cfg.m)]
         if cfg.cost_mode == COST_WITH:

@@ -37,6 +37,7 @@ from .bounds import (
     VARIANT_N,
     bounds_report,
 )
+from .bpp import DEFAULT_NODE_LIMIT
 from .cha import BPP_EXACT, BPP_HEURISTIC, k_upper
 from .core import BppsError, Instance, Solution
 from .files import write_ascii
@@ -137,12 +138,14 @@ def build_model(
     variant: str,
     *,
     exact_bin_bound: bool = False,
+    node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> MilpModel:
     """Build one model variant for the instance.
 
     Variants ``N``/``DAG``/``DDAG`` use ``k = n`` candidate bins; ``STAR``
     uses the per-class packing bound, heuristically computed by default
-    (``exact_bin_bound`` switches to exact per-class packing, and raises
+    (``exact_bin_bound`` switches to exact per-class packing of at most
+    ``node_limit`` nodes per class, and raises
     :class:`~bpps.bpp.NodeLimitExceeded` when a class's search stops
     unproved, as :func:`~bpps.cha.k_upper` does).  ``inst`` is valid by
     construction, so no variant checks its data.
@@ -152,7 +155,7 @@ def build_model(
     n, m = inst.n, inst.m
     if variant == VARIANT_STAR:
         mode = BPP_EXACT if exact_bin_bound else BPP_HEURISTIC
-        k = k_upper(inst, mode)
+        k = k_upper(inst, mode, node_limit=node_limit)
     else:
         k = n
     bins = range(1, k + 1)

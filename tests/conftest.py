@@ -9,8 +9,9 @@ import pytest
 import bpps.cli
 import bpps.core
 import bpps.report
+from bpps.bounds import ceil_div, gamma
 from bpps.core import Instance
-from bpps.gen import generate_benchmark
+from bpps.gen import COST_WITH, GeneratorConfig, generate, generate_benchmark
 
 
 def fig1_instance(bin_cost: int = 10) -> Instance:
@@ -51,6 +52,23 @@ def random_instance(
         )
         if sum(weights) + sum(setups) > d:
             return inst
+
+
+def sweep_instance(n: int, j: int) -> Instance:
+    """Large items, small setups, three classes: B&B trees of 1 to 10^5 nodes."""
+    cfg = GeneratorConfig(
+        n=n, m=3, d=200, cost_mode=COST_WITH, item_size="large",
+        setup_size="small", seed=n * 100 + j, free_form=True,
+    )
+    return generate(cfg)
+
+
+def root_bound(inst: Instance) -> int:
+    """``r * ceil((W + sum gamma_c s_c) / d) + sum gamma_c f_c``: ``zeta_ddag`` rounded up."""
+    g = gamma(inst)
+    setup_weight = sum(gc * s for gc, s in zip(g, inst.setup_weights))
+    setup_cost = sum(gc * f for gc, f in zip(g, inst.setup_costs))
+    return inst.bin_cost * ceil_div(inst.total_weight + setup_weight, inst.capacity) + setup_cost
 
 
 @contextlib.contextmanager

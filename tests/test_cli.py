@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import re
 from pathlib import Path
 
@@ -230,6 +231,46 @@ def test_gen_benchmark_smoke(tmp_path, capsys):
     assert len(files) == 480
 
 
+#: sha256 of the seed-0 ``bpps gen --benchmark`` grid (each file's name,
+#: a NUL byte and its bytes, in name order) and of ``bpps gen`` on the
+#: free-form sweep configs below; unchanged by the covering fallback.
+GRID_SHA256 = "6bf9b805bc3b41c38d098d07f8b375db58842b66c15d92156378ef00e0ec4409"
+SWEEP_SHA256 = "ee01e2e691abc00a486e0cf6b06856c92c733f8ccb2472104418bf0721939d4d"
+#: (n, configs) of the free-form sweep: m = 3, d = 200, large items, seed 100 n + j.
+GEN_SWEEP = ((10, 6), (11, 3), (12, 1)) + tuple((n, 40) for n in range(13, 26))
+
+
+def test_gen_keeps_the_bytes_of_every_config_that_draws(tmp_path, capsys):
+    assert main(["gen", "--benchmark", "--out-dir", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GRID_SHA256
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for n, count in GEN_SWEEP:
+        for j in range(count):
+            argv = ["gen", "--free-form", "--n", str(n), "--m", "3", "--d", "200",
+                    "--item-size", "large", "--seed", str(n * 100 + j)]
+            assert main(argv) == EXIT_OK
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SWEEP_SHA256
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "seed"),
+    [(20, 20, 0), (20, 20, 1), (20, 20, 2), (10, 10, 2)],
+    ids=["n20-m20-seed0", "n20-m20-seed1", "n20-m20-seed2", "n10-m10-seed2"],
+)
+def test_gen_covers_every_class_when_labels_keep_missing_one(capsys, n, m, seed):
+    argv = ["gen", "--free-form", "--n", str(n), "--m", str(m), "--seed", str(seed)]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"seed={seed} class-redraws=10000 " in out
+    inst = parse_instance(out)
+    assert all(inst.items_of_class(c) for c in inst.classes)
+
+
 @pytest.fixture
 def deep_file(tmp_path):
     # 1,200 items of weight 7 at residual capacity 20: a search that nested
@@ -347,6 +388,28 @@ def test_cha_proves_the_stopping_class_at_a_higher_limit(stopping_file, capsys):
     assert "unproved" not in out
 
 
+@pytest.mark.parametrize(
+    ("limit", "code", "line"),
+    [
+        ("3", EXIT_LIMIT, ""),
+        ("50", EXIT_OK, "wrote variant STAR (k=7, 147 variables, 154 constraints)"),
+    ],
+    ids=["stop", "proved"],
+)
+def test_exact_kbar_takes_the_node_limit(stopping_file, tmp_path, capsys, limit, code, line):
+    # k_upper sums the exact class counts: 6 bins for class 1 (proved only
+    # past 3 nodes) and 1 for class 2.  The heuristic count is 8.
+    lp_path = tmp_path / "stops.lp"
+    cmd = ["emit-model", "--instance", str(stopping_file), "--variant", "star",
+           "--exact-kbar", "--node-limit", limit, "--out", str(lp_path)]
+    assert main(cmd) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(line)
+    assert lp_path.exists() == (code == EXIT_OK)
+    if code == EXIT_LIMIT:
+        assert captured.err.startswith("limit reached: ")
+
+
 def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
     # At most two items of weight 7 fit in 20, so 600 bins are needed and
     # first fit already uses 600: the search stops at its root.
@@ -367,7 +430,6 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         ["solve", "--method", "brute", "--instance", "inst.txt"],
         ["gen", "--free-form", "--n", "5", "--m", "1", "--d", "5"],
         ["gen", "--free-form", "--n", "2", "--m", "1", "--d", "10000"],
-        ["gen", "--free-form", "--n", "10", "--m", "10", "--seed", "2"],
         ["solve", "--time-limit", "nan", "--instance", "inst.txt"],
         ["solve", "--time-limit", "-1", "--instance", "inst.txt"],
         ["solve", "--node-limit", "-1", "--instance", "inst.txt"],
@@ -388,7 +450,6 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         "brute-25-items",
         "gen-empty-weight-range",
         "gen-always-trivial",
-        "gen-classes-never-covered",
         "time-limit-nan",
         "time-limit-negative",
         "node-limit-negative",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -14,8 +15,9 @@ from bpps.exact import (
     branch_and_bound,
     brute_force,
 )
-from bpps.gen import worst_case
-from conftest import random_instance
+from bpps.gen import COST_WITH, GeneratorConfig, generate, worst_case
+from conftest import random_instance, root_bound, sweep_instance
+from test_search_equivalence import NODE_LIMITS, proved, ref_branch_and_bound
 
 
 class TestBruteForce:
@@ -81,6 +83,66 @@ class TestBranchAndBound:
             result = branch_and_bound(inst)
             assert check_feasible(inst, result.solution).ok
             assert solution_cost(inst, result.solution).total == result.psi
+
+
+def sweep_regime() -> list[Instance]:
+    """78 instances of the benchmark's sweep: m = 3, d = 200, n = 13..25."""
+    return [sweep_instance(n, j) for n in range(13, 26) for j in range(6)]
+
+
+class TestTargetedSearch:
+    """Probes from the root bound up: a leaf costs its target; a stop reports one."""
+
+    def test_proves_more_of_the_sweep_than_the_reference(self):
+        ours = theirs = 0
+        for inst in sweep_regime():
+            ours += branch_and_bound(inst, 2_000).status == STATUS_OPTIMAL
+            theirs += proved(ref_branch_and_bound(inst, 2_000))
+        # 50 against 38.
+        assert ours > theirs, (ours, theirs)
+
+    def test_a_stop_reports_at_least_the_root_bound(self):
+        stops = raised = 0
+        for inst in sweep_regime():
+            root = root_bound(inst)
+            assert root == math.ceil(zeta_lp_ddag(inst))
+            for node_limit in NODE_LIMITS:
+                result = branch_and_bound(inst, node_limit)
+                if result.status == STATUS_LIMIT:
+                    stops += 1
+                    raised += result.lower_bound > root
+                    assert root <= result.lower_bound < result.psi
+        assert stops > 100 and raised > 0, (stops, raised)
+
+    def test_brute_force_lies_in_every_bracket(self):
+        rng = random.Random(71)
+        instances = [random_instance(rng, max_n=12, max_m=4) for _ in range(150)]
+        instances += [sweep_instance(n, j) for n, count in ((10, 6), (11, 3)) for j in range(count)]
+        raised = 0
+        for inst in instances:
+            best = brute_force(inst).psi
+            for node_limit in NODE_LIMITS:
+                result = branch_and_bound(inst, node_limit)
+                assert result.lower_bound <= best <= result.psi
+                assert result.status == STATUS_LIMIT or result.psi == best
+                raised += result.status == STATUS_LIMIT and result.lower_bound > root_bound(inst)
+        assert raised > 0
+
+    def test_clock_is_read_between_probes(self):
+        # Its four probes walk 524, 568, 586 and 2,474 nodes and refute the
+        # root bound 56 and the targets 57, 58 and 61; the smallest bound
+        # the last one pruned reaches the heuristic's 66, which is optimal.
+        cfg = GeneratorConfig(
+            n=14, m=4, d=200, cost_mode=COST_WITH, item_size="large",
+            setup_size="large", seed=14, free_form=True,
+        )
+        inst = generate(cfg)
+        result = branch_and_bound(inst)
+        assert (result.status, result.psi, result.nodes) == (STATUS_OPTIMAL, 66, 4_152)
+        # With no time left the search stops after the second probe, the
+        # first boundary past 1,024 nodes, holding the third target.
+        result = branch_and_bound(inst, time_limit=0.0)
+        assert (result.status, result.lower_bound, result.nodes) == (STATUS_LIMIT, 58, 1_092)
 
 
 class TestOptimumProperties:

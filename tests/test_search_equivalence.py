@@ -3,14 +3,17 @@
 ``ref_branch_and_bound`` and ``ref_exact_search`` below are verbatim copies
 (renamed) of the recursive ``bpps.exact.branch_and_bound`` and
 ``bpps.bpp._exact_search`` that came before :func:`bpps.bpp.depth_first`.
-Branch-and-bound must match them exactly, node counts included.  The
-per-class search also prunes on the cardinality bound and on bin room
-lost below the smallest weight, and places equal items in bin order, so
-it must find the same optimum in no more nodes, and a search that stops
-must hold an incumbent no worse than the reference's at the same limit.
-Where a reference stops with its incumbent at its lower bound, its
-bracket is closed, which is a proof: both searches must return that
-result as proved, in the reference's nodes.
+Branch-and-bound now probes targets from the root bound up, so its nodes
+and its stops differ from the reference's by design: it must prove the
+same value wherever both prove, and a bracket either search stops with
+must hold the other's proved value.  The per-class search also prunes on
+the cardinality bound and on bin room lost below the smallest weight, and
+places equal items in bin order, so it must find the same optimum in no
+more nodes, and a search that stops must hold an incumbent no worse than
+the reference's at the same limit.  Where a reference stops with its
+incumbent at its lower bound, its bracket is closed, which is a proof:
+the per-class search must return that result as proved, in the
+reference's nodes, and branch-and-bound must prove the same value.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -33,7 +35,15 @@ from bpps.bpp import (
     fit_heuristic,
 )
 from bpps.cha import BPP_HEURISTIC, cha
-from bpps.core import MAX_VALUE, Instance, Solution, bin_load, require_valid
+from bpps.core import (
+    MAX_VALUE,
+    Instance,
+    Solution,
+    bin_load,
+    check_feasible,
+    require_valid,
+    solution_cost,
+)
 from bpps.exact import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TIME_LIMIT,
@@ -42,8 +52,7 @@ from bpps.exact import (
     ExactResult,
     branch_and_bound,
 )
-from bpps.gen import COST_WITH, GeneratorConfig, generate
-from conftest import random_instance
+from conftest import random_instance, root_bound, sweep_instance
 
 NODE_LIMITS = (0, 1, 50, 2_000)
 
@@ -249,15 +258,6 @@ def ref_branch_and_bound(
     return ExactResult(best_cost, best_solution, STATUS_OPTIMAL, best_cost, nodes)
 
 
-def sweep_instance(n: int, j: int) -> Instance:
-    """Large items, small setups, three classes: B&B trees of 1 to 10^5 nodes."""
-    cfg = GeneratorConfig(
-        n=n, m=3, d=200, cost_mode=COST_WITH, item_size="large",
-        setup_size="small", seed=n * 100 + j, free_form=True,
-    )
-    return generate(cfg)
-
-
 def bnb_instances() -> list[Instance]:
     rng = random.Random(11)
     small = [random_instance(rng, max_n=12, max_m=4) for _ in range(60)]
@@ -296,17 +296,42 @@ def closed(result: ExactResult) -> bool:
     return result.status == STATUS_LIMIT and result.lower_bound == result.psi
 
 
+def proved(result: ExactResult) -> bool:
+    return result.status == STATUS_OPTIMAL or closed(result)
+
+
 def check_branch_and_bound(
     inst: Instance, node_limit: int, time_limit: float = math.inf
 ) -> ExactResult:
     """Check branch-and-bound against the reference; return the reference's.
 
-    Where the reference stops with a closed bracket, the search must return
-    the same result as optimal.
+    The search probes targets from the root bound up, so its nodes and its
+    stops differ from the reference's by design.  Where both prove (a
+    reference stop with a closed bracket is a proof), the values must be
+    equal; where one stops, its bracket must contain the other's proved
+    value, and two stopped brackets must overlap.  A stop never reports a
+    lower bound below the reference's root bound.  The solution must be
+    feasible and cost ``psi``, and a stop falls no further than one node
+    past the limit.
     """
     want = ref_branch_and_bound(inst, node_limit, time_limit)
     got = branch_and_bound(inst, node_limit, time_limit)
-    assert got == (replace(want, status=STATUS_OPTIMAL) if closed(want) else want)
+    assert check_feasible(inst, got.solution).ok
+    assert solution_cost(inst, got.solution).total == got.psi
+    assert got.nodes <= node_limit + 1
+    if got.status == STATUS_OPTIMAL:
+        assert got.lower_bound == got.psi
+    else:
+        assert got.status == STATUS_LIMIT
+        assert root_bound(inst) <= got.lower_bound < got.psi
+    if proved(got) and proved(want):
+        assert got.psi == want.psi
+    elif proved(want):
+        assert got.lower_bound <= want.psi <= got.psi
+    elif proved(got):
+        assert want.lower_bound <= got.psi <= want.psi
+    else:
+        assert max(got.lower_bound, want.lower_bound) <= min(got.psi, want.psi)
     return want
 
 
@@ -372,6 +397,10 @@ def test_branch_and_bound_time_limit_checked_every_1024_nodes():
     want = check_branch_and_bound(inst, DEFAULT_NODE_LIMIT, 0.0)
     assert (want.status, want.nodes) == (STATUS_LIMIT, 1024)
     assert not closed(want)
+    # Each bound in its tree is the root's 54 or at least the heuristic's
+    # 64, so its one probe walks the reference's tree and stops with it.
+    got = branch_and_bound(inst, DEFAULT_NODE_LIMIT, 0.0)
+    assert (got.status, got.nodes) == (STATUS_LIMIT, 1024)
 
 
 def check_class_search(bi: BppInstance, node_limit: int) -> str:
