@@ -27,13 +27,9 @@ from .core import (
     Violation,
 )
 
-#: Relaxation variants: the plain model, the model with per-class
-#: minimum-activation rows, and the model with those rows plus the
-#: minimum-bins row.
 VARIANT_N = "N"
 VARIANT_DAG = "DAG"
 VARIANT_DDAG = "DDAG"
-FRACTIONAL_VARIANTS = (VARIANT_N, VARIANT_DAG, VARIANT_DDAG)
 
 #: Row families of the models (``milp``); ``verify_fractional`` reports a
 #: violated row by its family, and a violated variable bound as ROW_BOUND.
@@ -43,6 +39,15 @@ FAMILY_LINKING = "linking"
 FAMILY_MCI = "mci"
 FAMILY_MBI = "mbi"
 ROW_BOUND = "variable-bound"
+
+#: The row families of each relaxation variant, in row order: the natural
+#: model, then the per-class minimum-activation rows, then the minimum-bins
+#: row.  ``milp`` adds ``STAR``, which has DDAG's rows at a smaller ``k``.
+VARIANT_FAMILIES = {
+    VARIANT_N: (FAMILY_ASSIGNMENT, FAMILY_CAPACITY, FAMILY_LINKING),
+    VARIANT_DAG: (FAMILY_ASSIGNMENT, FAMILY_CAPACITY, FAMILY_LINKING, FAMILY_MCI),
+    VARIANT_DDAG: (FAMILY_ASSIGNMENT, FAMILY_CAPACITY, FAMILY_LINKING, FAMILY_MCI, FAMILY_MBI),
+}
 
 
 def gamma(inst: Instance) -> tuple[int, ...]:
@@ -144,7 +149,7 @@ def fractional_solution(
     Requires ``k >= k_lower(inst)``, which guarantees every coordinate
     lies in ``[0, 1]`` (``k_lower`` dominates every ``gamma_c``).
     """
-    if variant not in FRACTIONAL_VARIANTS:
+    if variant not in VARIANT_FAMILIES:
         raise ValueError(f"unknown variant {variant!r}")
     report = bounds_report(inst)
     g, kl = report.gamma, report.k_lower
@@ -230,16 +235,17 @@ def verify_fractional(inst: Instance, fs: FractionalSolution) -> ValidationRepor
                     )
                 )
 
-    if fs.variant in (VARIANT_DAG, VARIANT_DDAG):
-        report = bounds_report(inst)
+    families = VARIANT_FAMILIES[fs.variant]
+    report = bounds_report(inst)
+    if FAMILY_MCI in families:
         for c in inst.classes:
             total = k * fs.y_values[c - 1]
             if total < report.gamma[c - 1]:
                 v.append(Violation(FAMILY_MCI, c, total, report.gamma[c - 1]))
-        if fs.variant == VARIANT_DDAG:
-            total = k * fs.z_value
-            if total < report.k_lower:
-                v.append(Violation(FAMILY_MBI, None, total, report.k_lower))
+    if FAMILY_MBI in families:
+        total = k * fs.z_value
+        if total < report.k_lower:
+            v.append(Violation(FAMILY_MBI, None, total, report.k_lower))
     return ValidationReport(tuple(v))
 
 

@@ -368,9 +368,7 @@ def _min_slack_bins(
     return bins
 
 
-def _exact_search(
-    bi: BppInstance, node_limit: int
-) -> tuple[int, BppPacking, int]:
+def _exact_search(bi: BppInstance, node_limit: int) -> tuple[int, BppPacking]:
     """Depth-first branch-and-bound over bin assignments.
 
     Items are placed in non-increasing weight order into every open bin
@@ -397,9 +395,10 @@ def _exact_search(
     if it uses fewer bins, and one that reaches ``floor`` proves the count
     at the root.  Its subset-sums may look at up to ``node_limit`` items,
     a budget apart from the nodes, so node limits 0 and 1 never build it.
-    A walk the limit stops raises :class:`NodeLimitExceeded` only while
+    Returns the count and its packing.  A walk the limit stops raises
+    :class:`NodeLimitExceeded`, which carries the nodes walked, only while
     the incumbent is above ``floor``: one at ``floor`` closes the bracket,
-    a proof, and comes back with the nodes walked.
+    a proof, and comes back as a finished walk does.
     """
     order = decreasing_order(bi)
     weights = [bi.weights[i - 1] for i in order]
@@ -467,7 +466,7 @@ def _exact_search(
         # The root bound is the only lower bound still valid for the
         # abandoned part of the tree; an incumbent at it is proved.
         raise NodeLimitExceeded(best_count, floor, nodes, packing)
-    return best_count, packing, nodes
+    return best_count, packing
 
 
 def exact_beta(bi: BppInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:

@@ -25,7 +25,7 @@ from .core import (
     check_feasible,
     solution_cost,
 )
-from .bpp import NodeLimitExceeded
+from .bpp import DEFAULT_NODE_LIMIT, NodeLimitExceeded
 from .bounds import format_decimal, format_fraction
 from .files import (
     FileFormatError,
@@ -45,12 +45,7 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
 
-_VARIANT_FLAGS = {
-    "n": milp.VARIANT_N,
-    "dag": milp.VARIANT_DAG,
-    "ddag": milp.VARIANT_DDAG,
-    "star": milp.VARIANT_STAR,
-}
+_VARIANT_FLAGS = {variant.lower(): variant for variant in milp.MODEL_VARIANTS}
 
 
 class UsageError(BppsError):
@@ -286,23 +281,10 @@ def _worstcase_rows(args: argparse.Namespace) -> list[dict[str, str]]:
             raise UsageError(str(exc)) from exc
         psi = n * (args.r + args.f1)
         report = bounds_report(inst)
-        zn, zdag, zddag = report.zeta_n, report.zeta_dag, report.zeta_ddag
-        rows.append(
-            {
-                "family": args.family,
-                "n": str(n),
-                "theta": str(theta),
-                "r": str(args.r),
-                "f1": str(args.f1),
-                "psi": str(psi),
-                "zeta_n": format_fraction(zn),
-                "zeta_dag": format_fraction(zdag),
-                "zeta_ddag": format_fraction(zddag),
-                "ratio_n": format_fraction(zn / psi),
-                "ratio_dag": format_fraction(zdag / psi),
-                "ratio_ddag": format_fraction(zddag / psi),
-            }
-        )
+        zetas = (report.zeta_n, report.zeta_dag, report.zeta_ddag)
+        values = [str(v) for v in (args.family, n, theta, args.r, args.f1, psi)]
+        values += [format_fraction(v) for v in (*zetas, *(zeta / psi for zeta in zetas))]
+        rows.append(dict(zip(_WORSTCASE_COLUMNS, values)))
     return rows
 
 
@@ -338,12 +320,12 @@ def _at_least_zero(cast: Callable[[str], float], what: str) -> Callable[[str], f
     return parse
 
 
-def _add_class_node_limit(p: argparse.ArgumentParser, when: str) -> None:
+def _add_node_limit(p: argparse.ArgumentParser, help_text: str) -> None:
     p.add_argument(
         "--node-limit",
         type=_at_least_zero(int, "an integer"),
-        default=exact.DEFAULT_NODE_LIMIT,
-        help=f"nodes each per-class search may take {when}",
+        default=DEFAULT_NODE_LIMIT,
+        help=help_text,
     )
 
 
@@ -373,16 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cha", help="run the constructive heuristic")
     p.add_argument("--instance", required=True)
     p.add_argument("--bpp-mode", choices=BPP_MODES, default=BPP_EXACT)
-    _add_class_node_limit(p, "in exact mode (heuristic mode ignores it)")
+    _add_node_limit(
+        p, "nodes each per-class search may take in exact mode (heuristic mode ignores it)"
+    )
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_cha)
 
     p = sub.add_parser("solve", help="solve exactly")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("auto", "brute", "bnb"), default="auto")
-    p.add_argument(
-        "--node-limit", type=_at_least_zero(int, "an integer"), default=exact.DEFAULT_NODE_LIMIT
-    )
+    _add_node_limit(p, "nodes branch-and-bound may take (brute force ignores it)")
     p.add_argument(
         "--time-limit", type=_at_least_zero(float, "seconds"), default=exact.DEFAULT_TIME_LIMIT
     )
@@ -398,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="size the star variant with exact per-class packing",
     )
-    _add_class_node_limit(p, "with --exact-kbar (ignored otherwise)")
+    _add_node_limit(
+        p, "nodes each per-class search may take with --exact-kbar (ignored otherwise)"
+    )
     p.set_defaults(func=_cmd_emit_model)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")

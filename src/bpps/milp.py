@@ -1,20 +1,16 @@
 """Compact model builder, LP-format text emission, and solution import.
 
 Four model variants share the same binary variables (item-to-bin ``x``,
-class-active-in-bin ``y``, bin-used ``z``) and base rows (assignment,
-capacity, linking):
+class-active-in-bin ``y``, bin-used ``z``); ``VARIANT_FAMILIES`` lists the
+row families each has.  ``N``, ``DAG`` and ``DDAG`` use ``k = n``
+candidate bins; ``STAR`` has DDAG's rows with ``k`` shrunk to the
+per-class packing upper bound.
 
-* ``N``     - base rows only, ``k = n`` candidate bins;
-* ``DAG``   - adds one minimum-activation row per class;
-* ``DDAG``  - additionally adds the minimum-bins row;
-* ``STAR``  - same rows as ``DDAG`` with ``k`` shrunk to the per-class
-  packing upper bound.
-
-Models are emitted as plain LP-format text with fixed row and variable
-names (``assign_i``, ``cap_b``, ``link_c_i_b``, ``mci_c``, ``mbi``;
-``x_i_b``, ``y_c_b``, ``z_b``, all 1-based) so the same input always
-produces byte-identical files, and the bundled reader parses them back
-losslessly.
+Models are emitted as plain LP-format text with fixed names: each row
+name starts with its family's ``ROW_PREFIX`` (``assign_i``, ``cap_b``,
+``link_c_i_b``, ``mci_c``, ``mbi``), and the variables are ``x_i_b``,
+``y_c_b`` and ``z_b``, all 1-based.  So the same input always produces
+byte-identical files, and the bundled reader parses them back losslessly.
 """
 
 from __future__ import annotations
@@ -32,9 +28,8 @@ from .bounds import (
     FAMILY_LINKING,
     FAMILY_MBI,
     FAMILY_MCI,
-    VARIANT_DAG,
     VARIANT_DDAG,
-    VARIANT_N,
+    VARIANT_FAMILIES,
     bounds_report,
 )
 from .bpp import DEFAULT_NODE_LIMIT
@@ -43,7 +38,18 @@ from .core import BppsError, Instance, Solution
 from .files import write_ascii
 
 VARIANT_STAR = "STAR"
-MODEL_VARIANTS = (VARIANT_N, VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR)
+#: ``bounds.VARIANT_FAMILIES`` and ``STAR``, which has DDAG's rows.
+VARIANT_FAMILIES = {**VARIANT_FAMILIES, VARIANT_STAR: VARIANT_FAMILIES[VARIANT_DDAG]}
+MODEL_VARIANTS = tuple(VARIANT_FAMILIES)
+#: Each family's row-name prefix; the five differ in their first two letters.
+ROW_PREFIX = {
+    FAMILY_ASSIGNMENT: "assign_",
+    FAMILY_CAPACITY: "cap_",
+    FAMILY_LINKING: "link_",
+    FAMILY_MCI: "mci_",
+    FAMILY_MBI: "mbi",
+}
+_ROW_PREFIXES = tuple(ROW_PREFIX.values())
 
 #: Solver output values within this distance of 0 or 1 are rounded.
 BINARY_TOLERANCE = 1e-6
@@ -61,20 +67,8 @@ class SolutionImportError(BppsError):
     """An imported assignment fails a model row, or the model has another size."""
 
 
-_FAMILY_BY_PREFIX = (
-    ("assign_", FAMILY_ASSIGNMENT),
-    ("cap_", FAMILY_CAPACITY),
-    ("link_", FAMILY_LINKING),
-    ("mci_", FAMILY_MCI),
-    ("mbi", FAMILY_MBI),
-)
-_ROW_PREFIXES = tuple(prefix for prefix, _ in _FAMILY_BY_PREFIX)
-#: The five prefixes differ in their first two letters.
-_FAMILY_BY_LEAD = {prefix[:2]: family for prefix, family in _FAMILY_BY_PREFIX}
-
-
 def _family_of(name: str) -> str:
-    for prefix, family in _FAMILY_BY_PREFIX:
+    for family, prefix in ROW_PREFIX.items():
         if name.startswith(prefix):
             return family
     raise LpFormatError(f"unrecognized row name {name!r}")
@@ -150,8 +144,9 @@ def build_model(
     unproved, as :func:`~bpps.cha.k_upper` does).  ``inst`` is valid by
     construction, so no variant checks its data.
     """
-    if variant not in MODEL_VARIANTS:
+    if variant not in VARIANT_FAMILIES:
         raise ValueError(f"unknown variant {variant!r}")
+    families = VARIANT_FAMILIES[variant]
     n, m = inst.n, inst.m
     if variant == VARIANT_STAR:
         mode = BPP_EXACT if exact_bin_bound else BPP_HEURISTIC
@@ -181,42 +176,33 @@ def build_model(
     # and in link_c_i_b, y_c_b with -1 in every link_c_*_b.
     x_units = [[(name, 1) for name in per_item] for per_item in x_names]
     rows: list[Row] = [
-        Row(f"assign_{i}", tuple(x_units[i - 1]), "=", 1) for i in inst.items
+        Row(f"{ROW_PREFIX[FAMILY_ASSIGNMENT]}{i}", tuple(x_units[i - 1]), "=", 1)
+        for i in inst.items
     ]
     setups = [(per_class, s) for per_class, s in zip(y_names, inst.setup_weights) if s]
     for b in bins:
         terms = [(per_item[b - 1], w) for per_item, w in zip(x_names, inst.weights)]
         terms.extend((per_class[b - 1], s) for per_class, s in setups)
         terms.append((z_names[b - 1], -inst.capacity))
-        rows.append(Row(f"cap_{b}", tuple(terms), "<=", 0))
+        rows.append(Row(f"{ROW_PREFIX[FAMILY_CAPACITY]}{b}", tuple(terms), "<=", 0))
     for c in inst.classes:
         y_negs = [(name, -1) for name in y_names[c - 1]]
         for i in inst.items_of_class(c):
-            prefix = f"link_{c}_{i}_"
+            prefix = f"{ROW_PREFIX[FAMILY_LINKING]}{c}_{i}_"
             rows.extend(
                 Row(f"{prefix}{b}", pair, "<=", 0)
                 for b, pair in zip(bins, zip(x_units[i - 1], y_negs))
             )
-    if variant in (VARIANT_DAG, VARIANT_DDAG, VARIANT_STAR):
+    if FAMILY_MCI in families or FAMILY_MBI in families:
         report = bounds_report(inst)
-        for c in inst.classes:
-            rows.append(
-                Row(
-                    name=f"mci_{c}",
-                    terms=tuple((name, 1) for name in y_names[c - 1]),
-                    sense=">=",
-                    rhs=report.gamma[c - 1],
-                )
-            )
-        if variant in (VARIANT_DDAG, VARIANT_STAR):
-            rows.append(
-                Row(
-                    name="mbi",
-                    terms=tuple((name, 1) for name in z_names),
-                    sense=">=",
-                    rhs=report.k_lower,
-                )
-            )
+    if FAMILY_MCI in families:
+        rows.extend(
+            Row(f"{ROW_PREFIX[FAMILY_MCI]}{c}", tuple((name, 1) for name in per_class), ">=", g)
+            for c, per_class, g in zip(inst.classes, y_names, report.gamma)
+        )
+    if FAMILY_MBI in families:
+        z_units = tuple((name, 1) for name in z_names)
+        rows.append(Row(ROW_PREFIX[FAMILY_MBI], z_units, ">=", report.k_lower))
     return MilpModel(
         variant=variant,
         k=k,
@@ -362,23 +348,24 @@ def _parse_row(chunk: list[str], names: dict[str, str], shared: dict[_Term, _Ter
 
 def _check_row_counts(variant: str, k: int, n: int, m: int, rows: list[Row]) -> None:
     """Refuse rows whose count in a family differs from what the header implies."""
-    want = {
+    families = VARIANT_FAMILIES[variant]
+    size = {
         FAMILY_ASSIGNMENT: n,
         FAMILY_CAPACITY: k,
         FAMILY_LINKING: n * k,
-        FAMILY_MCI: 0 if variant == VARIANT_N else m,
-        FAMILY_MBI: 1 if variant in (VARIANT_DDAG, VARIANT_STAR) else 0,
+        FAMILY_MCI: m,
+        FAMILY_MBI: 1,
     }
-    # Every row name starts with one of the prefixes (``_parse_row``).  A
-    # generator, not a list: a list of 40,000 leads would raise the
-    # reader's peak memory by 2 MB.
+    # Every row name starts with one of the prefixes (``_parse_row``), and
+    # the prefixes differ in their first two letters.  A generator, not a
+    # list: a list of 40,000 leads would raise the reader's peak memory by
+    # 2 MB.
     leads = Counter(row.name[:2] for row in rows)
-    got = {family: leads[lead] for lead, family in _FAMILY_BY_LEAD.items()}
-    for family, count in want.items():
-        if got[family] != count:
-            raise LpFormatError(
-                f"read {got[family]} {family} rows; the header implies {count}"
-            )
+    for family, prefix in ROW_PREFIX.items():
+        got = leads[prefix[:2]]
+        want = size[family] if family in families else 0
+        if got != want:
+            raise LpFormatError(f"read {got} {family} rows; the header implies {want}")
 
 
 def _read_lp(lines: Iterable[str]) -> MilpModel:

@@ -118,26 +118,19 @@ def report_row(
 ) -> dict[str, str]:
     kbar = k_upper(inst, BPP_HEURISTIC)
     bounds = bounds_report(inst)
-    row = {
-        "instance": name,
-        "n": str(inst.n),
-        "m": str(inst.m),
-        "d": str(inst.capacity),
-        "r": str(inst.bin_cost),
-        "k_lower": str(bounds.k_lower),
-        "k_upper": str(kbar),
-        "zeta_n": format_fraction(bounds.zeta_n),
-        "zeta_dag": format_fraction(bounds.zeta_dag),
-        "zeta_ddag": format_fraction(bounds.zeta_ddag),
-        "psi": "",
-        "bins": "",
-        "items_per_bin": "",
-        "classes_per_bin": "",
-        "fill_percent": "",
-        "gap_n": "",
-        "gap_dag": "",
-        "gap_ddag": "",
-    }
+    row = dict.fromkeys(REPORT_COLUMNS, "")
+    row.update(
+        instance=name,
+        n=str(inst.n),
+        m=str(inst.m),
+        d=str(inst.capacity),
+        r=str(inst.bin_cost),
+        k_lower=str(bounds.k_lower),
+        k_upper=str(kbar),
+        zeta_n=format_fraction(bounds.zeta_n),
+        zeta_dag=format_fraction(bounds.zeta_dag),
+        zeta_ddag=format_fraction(bounds.zeta_ddag),
+    )
     if sol is not None:
         feasible = check_feasible(inst, sol)
         psi = solution_cost(inst, sol, feasible).total

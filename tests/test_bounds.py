@@ -11,6 +11,7 @@ from bpps import bpp
 from bpps.bounds import (
     FAMILY_CAPACITY,
     FAMILY_MBI,
+    FAMILY_MCI,
     VARIANT_DAG,
     VARIANT_DDAG,
     VARIANT_N,
@@ -27,7 +28,7 @@ from bpps.bounds import (
     zeta_lp_n,
 )
 from bpps.cha import class_bpp
-from bpps.core import V_ITEM_SETUP_OVERFLOW, Instance, InvalidInstanceError
+from bpps.core import V_ITEM_SETUP_OVERFLOW, Instance, InvalidInstanceError, Violation
 from bpps.gen import worst_case
 from conftest import random_instance
 
@@ -162,6 +163,13 @@ class TestVerifyFractional:
         assert FAMILY_MBI in {v.kind for v in report.violations}
         mbi = [v for v in report.violations if v.kind == FAMILY_MBI][0]
         assert mbi.measured == 3 and mbi.allowed == 4
+
+    def test_checks_exactly_the_families_of_its_variant(self, fig1):
+        # The N point activates each class once in 8 bins; class 1 needs 3.
+        fs = fractional_solution(fig1, VARIANT_N, 8)
+        assert verify_fractional(fig1, fs).ok
+        report = verify_fractional(fig1, replace(fs, variant=VARIANT_DAG))
+        assert report.violations == (Violation(FAMILY_MCI, 1, 1, 3),)
 
     def test_objective_matches_closed_forms(self, fig1):
         assert fractional_solution(fig1, VARIANT_N, 10).objective == zeta_lp_n(fig1)

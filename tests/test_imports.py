@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module,
-instance validation stays in ``core``, and the heuristic path takes only
-the settings its callers set.
+instance validation stays in ``core``, the heuristic path takes only
+the settings its callers set, and the model's variants and row families
+are each defined once.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -19,9 +20,8 @@ from bpps.bpp import fit_heuristic, heuristic_beta, heuristic_packing
 from bpps.cha import cha, k_upper
 from bpps.exact import brute_force
 
-MODULES = sorted(
-    p for p in Path(bpps.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = Path(bpps.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -106,3 +106,65 @@ SIGNATURES = {
 @pytest.mark.parametrize("func", SIGNATURES, ids=lambda f: f.__name__)
 def test_the_heuristic_path_takes_only_the_settings_callers_set(func):
     assert list(inspect.signature(func).parameters) == SIGNATURES[func]
+
+
+#: The row-name prefixes of the five row families.
+ROW_NAME_PREFIXES = ("assign_", "cap_", "link_", "mci_", "mbi")
+
+
+def prefix_uses(source: str, prefix: str) -> list[int]:
+    """Lines of the string literals and f-strings that start with ``prefix``."""
+    tree = ast.parse(source)
+    # An f-string's literal parts are walked as constants of their own.
+    parts = {id(v) for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) for v in n.values}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr) and node.values:
+            node = node.values[0]
+        elif id(node) in parts:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith(prefix):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_check_sees_each_use_of_a_prefix():
+    source = 'a = "cap_"\nb = f"cap_{b}"\nc = f"{a}cap_"\nd = "a cap_b"\n'
+    assert prefix_uses(source, "cap_") == [1, 2]
+
+
+@pytest.mark.parametrize("prefix", ROW_NAME_PREFIXES)
+def test_each_row_name_prefix_is_written_once(prefix):
+    source = (PACKAGE / "milp.py").read_text(encoding="utf-8")
+    assert len(prefix_uses(source, prefix)) == 1
+
+
+def variant_tuple_tests(source: str) -> list[str]:
+    """``in`` and ``not in`` tests against a literal collection of ``VARIANT_`` names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.In, ast.NotIn)) and isinstance(
+                    right, (ast.Tuple, ast.List, ast.Set)
+                ):
+                    names = [e.id for e in right.elts if isinstance(e, ast.Name)]
+                    if any(name.startswith("VARIANT_") for name in names):
+                        found.append(f"line {node.lineno}")
+    return found
+
+
+def test_the_check_sees_a_variant_tuple():
+    source = (
+        "if v in (VARIANT_DAG, VARIANT_DDAG):\n    pass\n"
+        "ok = v not in {VARIANT_N}\n"
+        "fine = v in VARIANT_FAMILIES and f in (FAMILY_MCI,)\n"
+    )
+    assert variant_tuple_tests(source) == ["line 1", "line 3"]
+
+
+@pytest.mark.parametrize("name", ["bounds", "milp"])
+def test_families_are_read_from_the_variant_table(name):
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert variant_tuple_tests(source) == []

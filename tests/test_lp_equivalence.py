@@ -24,6 +24,7 @@ from typing import Iterable, Iterator
 
 import pytest
 
+from bpps.bounds import VARIANT_N
 from bpps.core import Instance, Solution
 from bpps.exact import brute_force
 from bpps.milp import (
@@ -33,7 +34,6 @@ from bpps.milp import (
     Row,
     SolutionImportError,
     VARIANT_DDAG,
-    VARIANT_N,
     _ROW_PREFIXES,
     _family_of,
     _round_binary,

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from bpps.bounds import gamma, k_lower
+from bpps.bounds import VARIANT_DAG, VARIANT_N, gamma, k_lower
 from bpps.core import Instance, Solution, active_classes, solution_cost
 from bpps.exact import brute_force
 from bpps.gen import COST_WITH, GeneratorConfig, generate
@@ -21,9 +21,7 @@ from bpps.milp import (
     MilpModel,
     Row,
     SolutionImportError,
-    VARIANT_DAG,
     VARIANT_DDAG,
-    VARIANT_N,
     VARIANT_STAR,
     _BLOCK,
     build_model,

@@ -21,9 +21,11 @@ from __future__ import annotations
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 
+from bpps import bpp
 from bpps.bounds import ceil_div, gamma
 from bpps.bpp import (
     RULE_FIRST_FIT,
@@ -32,6 +34,7 @@ from bpps.bpp import (
     NodeLimitExceeded,
     _exact_search,
     decreasing_order,
+    depth_first,
     fit_heuristic,
 )
 from bpps.cha import BPP_HEURISTIC, cha
@@ -284,6 +287,19 @@ def class_instances() -> list[BppInstance]:
     return out
 
 
+def counted_exact_search(bi: BppInstance, node_limit: int) -> tuple[int, BppPacking, int]:
+    """``_exact_search``'s count and packing, and the nodes of its one walk."""
+    walks = []
+
+    def walk(root, limit):
+        walks.append(depth_first(root, limit))
+        return walks[-1]
+
+    with mock.patch.object(bpp, "depth_first", walk):
+        count, packing = _exact_search(bi, node_limit)
+    return count, packing, walks[0][0]
+
+
 def outcome(search, *args):
     try:
         return search(*args)
@@ -419,7 +435,7 @@ def check_class_search(bi: BppInstance, node_limit: int) -> str:
     reference's nodes.
     """
     want = outcome(ref_exact_search, bi, node_limit)
-    got = outcome(_exact_search, bi, node_limit)
+    got = outcome(counted_exact_search, bi, node_limit)
     card = ceil_div(bi.n, bi.capacity // min(bi.weights))
     stopped = not isinstance(want[1], BppPacking)
     closed_bracket = stopped and want[1] == want[2]
