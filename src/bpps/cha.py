@@ -18,7 +18,6 @@ optimal solution can use, which is what shrinks the compact model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import bpp
 from .core import Instance, Solution, bin_load
@@ -75,37 +74,26 @@ def class_bpp(inst: Instance, c: int) -> bpp.BppInstance:
     )
 
 
-def _pack(
-    bi: bpp.BppInstance, mode: str, node_limit: int, seed: int
-) -> tuple[bpp.BppPacking, bpp.NodeLimitExceeded | None]:
-    """``(packing, stop)``: the packing of ``bi`` in ``mode``.
-
-    ``stop`` is the exact search's :class:`~bpps.bpp.NodeLimitExceeded`
-    when it stopped short of a proof, and its incumbent packing stands in.
-    ``seed`` seeds the heuristic's random orders.
-    """
-    if mode == BPP_HEURISTIC:
-        return bpp.heuristic_packing(bi, seed), None
-    try:
-        return bpp.exact_packing(bi, node_limit), None
-    except bpp.NodeLimitExceeded as stop:
-        return stop.packing, stop
-
-
-def _class_packings(
-    inst: Instance, mode: str, node_limit: int
-) -> Iterator[tuple[bpp.BppPacking, bpp.NodeLimitExceeded | None]]:
-    """Step 1, shared by :func:`cha` and :func:`k_upper`.
-
-    Packs each class alone at capacity ``d - s_c``, class ``c`` with seed
-    ``c``, and yields :func:`_pack`'s ``(packing, stop)`` per class, one
-    class at a time, so a caller that gives up at a stop runs no class
-    after it.
-    """
+def _check_mode(mode: str) -> None:
     if mode not in BPP_MODES:
         raise ValueError(f"unknown bpp mode {mode!r}")
-    for c in inst.classes:
-        yield _pack(class_bpp(inst, c), mode, node_limit, c)
+
+
+def _pack(
+    bi: bpp.BppInstance, mode: str, node_limit: int, seed: int
+) -> tuple[bpp.BppPacking, bool]:
+    """``(packing, proved)``: the packing of ``bi`` in ``mode``.
+
+    ``proved`` is false when the exact search stopped at ``node_limit``
+    short of a proof, and its incumbent packing stands in.  ``seed`` seeds
+    the heuristic's random orders.
+    """
+    if mode == BPP_HEURISTIC:
+        return bpp.heuristic_packing(bi, seed), True
+    try:
+        return bpp.exact_packing(bi, node_limit), True
+    except bpp.NodeLimitExceeded as stop:
+        return stop.packing, False
 
 
 def cha(
@@ -131,11 +119,13 @@ def cha(
     (``d - s_c >= w_i >= 1`` for every item), so every step-1 subproblem
     has room for its items.
     """
+    _check_mode(bpp_mode)
+    # Step 1: pack each class alone at capacity d - s_c, class c with seed c.
     packings, unproved = [], []
-    steps = _class_packings(inst, bpp_mode, node_limit)
-    for c, (packing, stop) in zip(inst.classes, steps):
+    for c in inst.classes:
+        packing, proved = _pack(class_bpp(inst, c), bpp_mode, node_limit, c)
         packings.append(packing)
-        if stop is not None:
+        if not proved:
             unproved.append(c)
     beta = tuple(p.bin_count for p in packings)
     single = frozenset(c for c in inst.classes if beta[c - 1] == 1)
@@ -161,8 +151,8 @@ def cha(
             ),
             capacity=inst.capacity,
         )
-        agg_packing, stop = _pack(agg, bpp_mode, node_limit, 0)
-        if stop is not None:
+        agg_packing, proved = _pack(agg, bpp_mode, node_limit, 0)
+        if not proved:
             unproved.append(STEP2_BLOCKS)
         termination, delta = TERM_STEP2, agg_packing.bin_count
         blocks = [
@@ -208,14 +198,14 @@ def k_upper(
     """Upper bound on the bins used by any optimal solution.
 
     Sum over classes of the per-class bin count at residual capacity
-    ``d - s_c``, computed exactly or heuristically.  In exact mode the
-    first class whose search stops at ``node_limit`` without a proof
-    raises its :class:`~bpps.bpp.NodeLimitExceeded`, and no later class
-    is solved: the count is returned only when every class is proved.
+    ``d - s_c``, computed exactly or heuristically (class ``c`` with seed
+    ``c``), as step 1 of :func:`cha` counts it.  In exact mode the first
+    class whose search stops at ``node_limit`` without a proof raises
+    :class:`~bpps.bpp.NodeLimitExceeded` from :func:`~bpps.bpp.exact_beta`,
+    and no later class is solved: the count is returned only when every
+    class is proved.
     """
-    total = 0
-    for packing, stop in _class_packings(inst, bpp_mode, node_limit):
-        if stop is not None:
-            raise stop
-        total += packing.bin_count
-    return total
+    _check_mode(bpp_mode)
+    if bpp_mode == BPP_HEURISTIC:
+        return sum(bpp.heuristic_beta(class_bpp(inst, c), c) for c in inst.classes)
+    return sum(bpp.exact_beta(class_bpp(inst, c), node_limit) for c in inst.classes)

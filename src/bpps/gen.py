@@ -206,13 +206,17 @@ def instance_name(cfg: GeneratorConfig) -> str:
 
 
 def parse_instance_name(name: str) -> GeneratorConfig:
-    """Inverse of :func:`instance_name` (a trailing ``.txt`` is allowed)."""
+    """Inverse of :func:`instance_name` (a trailing ``.txt`` is allowed).
+
+    A name :func:`instance_name` does not write is a :class:`ValueError`.
+    """
     stem = name[:-4] if name.endswith(".txt") else name
     parts = stem.split("_")
-    if len(parts) != 8 or parts[0] != "bpps":
-        raise ValueError(f"not a benchmark instance name: {name!r}")
+    error = f"not a benchmark instance name: {name!r}"
+    if len(parts) != 8:
+        raise ValueError(error)
     try:
-        return GeneratorConfig(
+        cfg = GeneratorConfig(
             n=int(parts[1].removeprefix("n")),
             m=int(parts[2].removeprefix("m")),
             d=int(parts[3].removeprefix("d")),
@@ -222,7 +226,10 @@ def parse_instance_name(name: str) -> GeneratorConfig:
             seed=int(parts[7].removeprefix("s")),
         )
     except ValueError as exc:
-        raise ValueError(f"not a benchmark instance name: {name!r}") from exc
+        raise ValueError(error) from exc
+    if instance_name(cfg) != stem:
+        raise ValueError(error)
+    return cfg
 
 
 def benchmark_configs(base_seed: int = 0) -> Iterator[GeneratorConfig]:

@@ -371,10 +371,8 @@ def _check_row_counts(variant: str, k: int, n: int, m: int, rows: list[Row]) -> 
 def _read_lp(lines: Iterable[str]) -> MilpModel:
     """The model in LP ``lines``, read in one pass that keeps one row's tokens.
 
-    A row is parsed when the next row starts or the input ends.  Errors
-    keep the precedence of reading all lines first: a line error is raised
-    at once, and the first row error only after the header and the
-    objective have been checked.
+    A row is parsed, and its error raised, when the next row starts or
+    the input ends.
     """
     meta: dict[str, str] = {}
     section = None
@@ -384,15 +382,10 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
     names: dict[str, str] = {}
     shared: dict[_Term, _Term] = {}
     chunk: list[str] | None = None  # the tokens of the row being read
-    row_error: LpFormatError | None = None
 
     def finish_row(chunk: list[str] | None) -> None:
-        nonlocal row_error
-        if chunk is not None and row_error is None:
-            try:
-                rows.append(_parse_row(chunk, names, shared))
-            except LpFormatError as exc:
-                row_error = exc
+        if chunk is not None:
+            rows.append(_parse_row(chunk, names, shared))
 
     for raw in lines:
         tokens = raw.split()
@@ -443,8 +436,6 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
     if objective_tokens and objective_tokens[0].endswith(":"):
         objective_tokens = objective_tokens[1:]
     objective = _parse_terms(objective_tokens, names, shared)
-    if row_error is not None:
-        raise row_error
 
     variant = meta["variant"]
     k = _integer(meta["k"], "header value k")

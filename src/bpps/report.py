@@ -63,14 +63,12 @@ def feature_report(
     used = sol.bin_count
     items = sum(len(b) for b in sol.bins)
     classes = sum(len(active_classes(inst, b)) for b in sol.bins)
-    fill = sum(
-        Fraction(100 * bin_load(inst, b), inst.capacity) for b in sol.bins
-    )
+    load = sum(bin_load(inst, b) for b in sol.bins)
     return FeatureReport(
         bins_used=used,
         items_per_bin=Fraction(items, used),
         classes_per_bin=Fraction(classes, used),
-        fill_percent=fill / used,
+        fill_percent=Fraction(100 * load, inst.capacity * used),
     )
 
 

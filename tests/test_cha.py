@@ -162,7 +162,7 @@ class TestKUpper:
         assert k_upper(inst, BPP_EXACT) == 1
 
     def test_matches_per_class_reference_and_cha_beta(self):
-        # The per-class loop k_upper ran before it shared cha's step 1.
+        # k_upper is this per-class loop; cha's step 1 must count the same.
         def reference(inst, mode):
             total = 0
             for c in inst.classes:

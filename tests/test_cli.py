@@ -433,6 +433,8 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         ["solve", "--time-limit", "nan", "--instance", "inst.txt"],
         ["solve", "--time-limit", "-1", "--instance", "inst.txt"],
         ["solve", "--node-limit", "-1", "--instance", "inst.txt"],
+        ["cha", "--node-limit", "abc", "--instance", "inst.txt"],
+        ["worstcase", "--family", "prop2", "--sweep", "3"],
         ["gen", "--free-form", "--d", "3000000000"],
         ["gen", "--free-form", "--n", "2147483647"],
         ["worstcase", "--family", "prop5", "--sweep", "3:4", "--n", "2147483647"],
@@ -453,6 +455,8 @@ def test_exact_cha_proves_the_deep_class_by_cardinality(deep_file, capsys):
         "time-limit-nan",
         "time-limit-negative",
         "node-limit-negative",
+        "node-limit-not-a-number",
+        "sweep-without-colon",
         "gen-capacity-above-max-value",
         "gen-n-above-max-items",
         "prop5-n-above-max-items",

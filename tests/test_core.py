@@ -13,6 +13,7 @@ from bpps.core import (
     InvalidInstanceError,
     Solution,
     V_BIN_CAPACITY,
+    V_EMPTY_BIN,
     V_EMPTY_CLASS,
     V_ITEM_DUPLICATED,
     V_ITEM_MISSING,
@@ -153,6 +154,11 @@ class TestCheckFeasible:
         report = check_feasible(fig1, sol)
         missing = {v.index for v in report.violations if v.kind == V_ITEM_MISSING}
         assert missing == {4, 8}
+
+    def test_empty_bin(self, fig1):
+        bins = ({1, 5}, set(), {2, 6}, {3, 7}, {4, 8})
+        report = check_feasible(fig1, Solution(tuple(map(frozenset, bins))))
+        assert [(v.kind, v.index) for v in report.violations] == [(V_EMPTY_BIN, 2)]
 
 
 class TestSolutionCost:

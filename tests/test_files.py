@@ -79,6 +79,11 @@ def test_solution_format_errors():
         parse_solution("BPPS 1\nname 0\n")
 
 
+def test_empty_solution_file():
+    with pytest.raises(FileFormatError, match="^empty solution file$"):
+        parse_solution("")
+
+
 def test_solution_item_listed_twice_in_a_bin():
     with pytest.raises(FileFormatError, match="^bin 2 lists item 3 more than once$"):
         parse_solution("BPPS-SOL 1\nname 2\n1 2\n3 4 3\n")

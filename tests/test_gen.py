@@ -109,6 +109,19 @@ class TestBenchmark:
         assert instance_name(cfg) == "bpps_n25_m5_d200_costs_small_small_s1"
         assert parse_instance_name("bpps_n25_m5_d200_costs_small_small_s1.txt") == cfg
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bpps_n25_m5_d200_xyz_small_small_s1",
+            "bpps_n025_m5_d200_costs_small_small_s1",
+            "bpps_n25_m5_d200_costs_small_small_s+1",
+        ],
+        ids=["cost-mode", "leading-zero", "plus-sign"],
+    )
+    def test_a_name_instance_name_does_not_write_is_refused(self, name):
+        with pytest.raises(ValueError, match="^not a benchmark instance name: "):
+            parse_instance_name(name)
+
     def test_base_seed_shifts_pairs(self):
         configs = list(benchmark_configs(base_seed=5))
         assert {c.seed for c in configs} == {5, 6}

@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module,
 instance validation stays in ``core``, the heuristic path takes only
-the settings its callers set, and the model's variants and row families
-are each defined once.
+the settings its callers set, the model's variants and row families
+are each defined once, and every exception is raised where it arises.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -168,3 +168,27 @@ def test_the_check_sees_a_variant_tuple():
 def test_families_are_read_from_the_variant_table(name):
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     assert variant_tuple_tests(source) == []
+
+
+def held_raises(source: str) -> list[str]:
+    """``raise`` statements whose exception is a name: one held in a variable."""
+    return [
+        f"line {node.lineno}: raise {node.exc.id}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
+    ]
+
+
+def test_the_check_sees_a_held_exception():
+    source = (
+        "try:\n    f()\nexcept E as stop:\n    raise\n"
+        "raise stop\n"
+        "raise E('x') from stop\n"
+        "raise E\n"
+    )
+    assert held_raises(source) == ["line 5: raise stop", "line 7: raise E"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_exceptions_are_raised_where_they_arise(path):
+    assert held_raises(path.read_text(encoding="utf-8")) == []

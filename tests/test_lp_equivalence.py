@@ -613,8 +613,16 @@ def test_text_and_file_readers_match_the_two_phase_reader(seed, tmp_path):
             assert parse_lp(lines) == parse_lp_file(path) == two_phase_parse_lp(lines) == model
 
 
+#: Edits whose fault is in a row: the reader raises it as it finishes the
+#: row, where the two-phase reader raised it after the header and objective.
+ROW_FAULTS = {"row-name", "dangling-coefficient", "no-sense-and-rhs", "non-integer-rhs"}
+
+
 def test_two_edits_raise_what_the_two_phase_reader_raises(tmp_path):
-    """The held row error keeps its place behind every other error."""
+    """Both readers raise the same error; without a row fault, the two-phase
+    reader's error too.  With one, the fault read first: the non-integer
+    rhs of assign_1 comes before a stray line after End, which the
+    two-phase reader named."""
     text = render_lp(build_model(fig1_instance(), VARIANT_DDAG))
     path = tmp_path / "model.lp"
     pairs = 0
@@ -625,11 +633,15 @@ def test_two_edits_raise_what_the_two_phase_reader_raises(tmp_path):
             continue
         edited = edited.replace(old2, new2, 1)
         path.write_text(edited, encoding="ascii")
-        expected = read(two_phase_parse_lp, edited)
-        assert isinstance(expected, str), (id1, id2)
-        assert read(parse_lp, edited) == read(parse_lp_file, path) == expected, (id1, id2)
+        message = read(parse_lp, edited)
+        assert isinstance(message, str), (id1, id2)
+        assert read(parse_lp_file, path) == message, (id1, id2)
+        if ROW_FAULTS.isdisjoint((id1, id2)):
+            assert message == read(two_phase_parse_lp, edited), (id1, id2)
+        if (id1, id2) == ("non-integer-rhs", "outside-sections"):
+            assert message == "rhs of row 'assign_1' is not an integer: 'one'"
         pairs += 1
-    assert pairs >= 100
+    assert pairs == 103
 
 
 @pytest.mark.parametrize("old, new, message", MALFORMED_LP_EDITS, ids=MALFORMED_LP_IDS)

@@ -444,6 +444,20 @@ class TestImportSolution:
         with pytest.raises(SolutionImportError, match="link_1_"):
             import_solution(fig1, model, assignment_text(values))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x_1_1\n", "line 1: expected '<name> <value>'"),
+            ("# values\nx_1_1 abc\n", "line 2: bad value 'abc'"),
+        ],
+        ids=["no-value", "not-a-number"],
+    )
+    def test_malformed_line_names_its_number(self, fig1, text, message):
+        model = build_model(fig1, VARIANT_N)
+        with pytest.raises(SolutionImportError) as info:
+            import_solution(fig1, model, text)
+        assert str(info.value) == message
+
     def test_non_binary_value_rejected(self, fig1):
         model = build_model(fig1, VARIANT_N)
         with pytest.raises(SolutionImportError, match="not within"):
