@@ -9,6 +9,8 @@ reached (``cha`` and ``solve`` still print a feasible answer).
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -90,12 +92,13 @@ def _print_bins(sol: Solution) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.benchmark:
+        try:
+            configs = list(gen.benchmark_configs(args.base_seed))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        names = [
-            _write_benchmark_instance(cfg, out_dir)
-            for cfg in gen.benchmark_configs(args.base_seed)
-        ]
+        names = [_write_benchmark_instance(cfg, out_dir) for cfg in configs]
         print(f"wrote {len(names)} instances to {out_dir}")
         return EXIT_OK
     try:
@@ -330,10 +333,18 @@ def _add_node_limit(p: argparse.ArgumentParser, help_text: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bpps", description=__doc__)
+    # argparse builds a HelpFormatter for every add_argument, and each one
+    # asks the terminal for its width; read it once and hand it to them all.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="bpps", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate instances")
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help_text, formatter_class=formatter)
+
+    p = add("gen", "generate instances")
     p.add_argument("--benchmark", action="store_true", help="emit the full 480-instance grid")
     p.add_argument("--out-dir", default="instances", help="directory for --benchmark")
     p.add_argument("--base-seed", type=int, default=0)
@@ -348,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bounds", help="print closed-form bounds")
+    p = add("bounds", "print closed-form bounds")
     p.add_argument("--instance", required=True)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("cha", help="run the constructive heuristic")
+    p = add("cha", "run the constructive heuristic")
     p.add_argument("--instance", required=True)
     p.add_argument("--bpp-mode", choices=BPP_MODES, default=BPP_EXACT)
     _add_node_limit(
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_cha)
 
-    p = sub.add_parser("solve", help="solve exactly")
+    p = add("solve", "solve exactly")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("auto", "brute", "bnb"), default="auto")
     _add_node_limit(p, "nodes branch-and-bound may take (brute force ignores it)")
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the solution file here")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("emit-model", help="write an LP-format model file")
+    p = add("emit-model", "write an LP-format model file")
     p.add_argument("--instance", required=True)
     p.add_argument("--variant", choices=tuple(_VARIANT_FLAGS), required=True)
     p.add_argument("--out", required=True)
@@ -385,17 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_emit_model)
 
-    p = sub.add_parser("verify", help="check a solution file against an instance")
+    p = add("verify", "check a solution file against an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("report", help="aggregate a directory into CSV")
+    p = add("report", "aggregate a directory into CSV")
     p.add_argument("--dir", required=True)
     p.add_argument("--out", help="CSV file (default: stdout)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("worstcase", help="emit an adversarial family sweep as CSV")
+    p = add("worstcase", "emit an adversarial family sweep as CSV")
     p.add_argument("--family", choices=gen.WORST_CASE_FAMILIES, required=True)
     p.add_argument(
         "--sweep",

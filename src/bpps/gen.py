@@ -67,7 +67,9 @@ class GeneratorConfig:
     feasibility condition (item fraction + setup fraction <= 1) always
     holds.  ``n`` must be at most ``MAX_ITEMS``.  ``d`` must be at most
     ``MAX_VALUE`` and leave a positive integer item weight and an integer
-    setup weight in the scaled ranges.
+    setup weight in the scaled ranges.  ``seed`` must be non-negative:
+    ``random.Random`` seeds with ``abs(seed)``, so ``seed * 8`` for a
+    negative seed would repeat the class labels of its positive twin.
     """
 
     n: int
@@ -86,6 +88,8 @@ class GeneratorConfig:
             raise ValueError(f"unknown item size {self.item_size!r}")
         if self.setup_size not in SETUP_RANGES:
             raise ValueError(f"unknown setup size {self.setup_size!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed} is negative")
         if self.m < 1 or self.n < self.m:
             raise ValueError("need n >= m >= 1 so every class can be nonempty")
         check_item_count("items", self.n)

@@ -112,9 +112,9 @@ REPORT_COLUMNS = (
 
 
 def report_row(
-    name: str, inst: Instance, sol: Solution | None
+    name: str, inst: Instance, sol: Solution | None, kbar: int
 ) -> dict[str, str]:
-    kbar = k_upper(inst, BPP_HEURISTIC)
+    """One CSV row; ``kbar`` is ``k_upper(inst, BPP_HEURISTIC)``."""
     bounds = bounds_report(inst)
     row = dict.fromkeys(REPORT_COLUMNS, "")
     row.update(
@@ -151,12 +151,14 @@ def collect_report(directory: str | Path) -> list[dict[str, str]]:
 
     A solution file ``<stem>.sol`` sitting next to an instance file fills
     the solution-dependent columns.  A missing directory is an error, not
-    an empty report.
+    an empty report.  Instances that differ only in their costs (the
+    generator's cost-mode twins) share one ``k_upper`` solve.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"no directory {directory}")
     rows = []
+    kbars: dict[tuple, int] = {}
     for path in sorted(directory.glob("*.txt")):
         try:
             inst = read_instance(path)
@@ -166,7 +168,11 @@ def collect_report(directory: str | Path) -> list[dict[str, str]]:
         sol_path = path.with_suffix(".sol")
         if sol_path.exists():
             _, sol = read_solution(sol_path)
-        rows.append(report_row(path.stem, inst, sol))
+        # Everything k_upper reads: the per-class weights and capacities.
+        key = (inst.capacity, inst.setup_weights, inst.weights, inst.class_of)
+        if key not in kbars:
+            kbars[key] = k_upper(inst, BPP_HEURISTIC)
+        rows.append(report_row(path.stem, inst, sol, kbars[key]))
     return rows
 
 

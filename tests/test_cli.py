@@ -3,6 +3,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import re
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,57 @@ def test_file_error_is_one_line_and_exit_2(fig1_file, tmp_path, capsys, args):
     assert captured.err.startswith("file error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_build_parser_reads_the_terminal_size_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    build_parser()
+    assert len(calls) == 1
+
+
+#: sha256 of ``bpps --help`` ("-") and of each subcommand's ``--help``, by
+#: terminal width, as argparse lays them out when every formatter asks the
+#: terminal itself (Python 3.11).
+HELP_SHA256 = {
+    "60": {
+        "-": "f09558565506b5dba033829864922cebbac02329c640814815bf0f519342b309",
+        "gen": "42a75840a63d9c62a39cc8a8720c9948e33605d5f6b2945807aef9d258d25b98",
+        "bounds": "1f6dfbf2c59627e07802d157a3275845047e7b09de9f6f2369bd7e1ed8697906",
+        "cha": "bf40cdb699722ba6133e81174de922fa8d1702c1ee6927cb805fc15292bea250",
+        "solve": "fac12896f0f7673230c2b35e4a128af84a1689775c50c79a4e951b3f6ec47f56",
+        "emit-model": "98ca47cf7e5b9bd5fbf45c812f6838c0c353a1688b05c2f1cf0c2fc73d0a5ca7",
+        "verify": "9b05288166adb64126db6c2c1d30686f320146d26fff7dabd8d679caef124c2e",
+        "report": "533e9b7f089231648e01a69aa7a8fb54e3aeb208234930b3fb6009b7d379b425",
+        "worstcase": "b2326d95e615fa28c8e6f6302c7f916f6c5e04dbf88c2bbf84dd92cf2f60f264",
+    },
+    "120": {
+        "-": "30f94b9e2fbf05f8d4a1c241a3a9e84c52c46f94d0b9464ad735ba61f902e57e",
+        "gen": "5b78f3c512047a544bee9f5a9978660ed26d7954028f6f0b1cbb6abc2ada8286",
+        "bounds": "1f6dfbf2c59627e07802d157a3275845047e7b09de9f6f2369bd7e1ed8697906",
+        "cha": "dea54b6b46f020a5e82265c4b2e6ace6344e57c4ac088eec60b2ff28068fce9d",
+        "solve": "e31fb143c08539645ea63dbd593d54fa63a87b9eb894ad37cc1f3d09c9639577",
+        "emit-model": "50664be21ffb52d17318cfa459b5e3dae097883db589dbd5d72beec6b1eea12e",
+        "verify": "0ace8db84fc860a5c289252d1dd4b1597b42a58413226a848a869c35ebb99da8",
+        "report": "533e9b7f089231648e01a69aa7a8fb54e3aeb208234930b3fb6009b7d379b425",
+        "worstcase": "17bf74223ca966dfcdce8bf3eae1447d314c79ff0e852dcf42fc7c21cdf4bad9",
+    },
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse lays help out differently elsewhere"
+)
+@pytest.mark.parametrize("columns", tuple(HELP_SHA256))
+@pytest.mark.parametrize("command", tuple(HELP_SHA256["60"]))
+def test_help_keeps_its_bytes(monkeypatch, capsys, columns, command):
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"] if command != "-" else ["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[columns][command]
 
 
 def test_bounds_output(fig1_file, capsys):
@@ -222,6 +275,16 @@ def test_worstcase_prop5(capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[5] == "10"  # psi
     assert row[7] == "503/100"  # strengthened bound at theta=100
+
+
+@pytest.mark.parametrize(
+    "args", [["--seed", "-1"], ["--benchmark", "--base-seed", "-1"]], ids=["seed", "base-seed"]
+)
+def test_gen_refuses_a_negative_seed(tmp_path, capsys, args):
+    out_dir = tmp_path / "bench"
+    assert main(["gen", *args, "--out-dir", str(out_dir)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "usage error: seed = -1 is negative\n")
+    assert not out_dir.exists()
 
 
 def test_gen_benchmark_smoke(tmp_path, capsys):

@@ -126,6 +126,14 @@ class TestBenchmark:
         configs = list(benchmark_configs(base_seed=5))
         assert {c.seed for c in configs} == {5, 6}
 
+    def test_negative_seed_is_refused(self):
+        # Random seeds with abs(seed), so seed -1 would draw seed 1's labels.
+        assert random.Random(-8).random() == random.Random(8).random()
+        with pytest.raises(ValueError, match="^seed = -1 is negative$"):
+            small_cfg(seed=-1)
+        with pytest.raises(ValueError, match="^seed = -2 is negative$"):
+            list(benchmark_configs(base_seed=-2))
+
 
 class TestWorstCase:
     def test_prop2_fields(self):

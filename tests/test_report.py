@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from bpps import report
+from bpps.cha import BPP_HEURISTIC, k_upper
 from bpps.core import InfeasibleSolutionError, Instance, Solution
 from bpps.exact import brute_force
-from bpps.files import write_instance, write_solution
+from bpps.files import read_instance, write_instance, write_solution
+from bpps.gen import COST_WITH, COST_WITHOUT, GeneratorConfig, generate
 from bpps.report import (
     REPORT_COLUMNS,
     collect_report,
@@ -100,7 +104,7 @@ def test_collect_report_over_directory(tmp_path):
 
 def test_report_row_checks_the_solution_once(fig1, monkeypatch):
     calls = count_feasibility_checks(monkeypatch)
-    row = report_row("fig1", fig1, brute_force(fig1).solution)
+    row = report_row("fig1", fig1, brute_force(fig1).solution, 5)
     assert calls == [1]
     assert (row["psi"], row["bins"], row["fill_percent"]) == ("60", "4", "100")
 
@@ -110,4 +114,33 @@ def test_infeasible_solution_raises_in_features_and_report_row(fig1):
     with pytest.raises(InfeasibleSolutionError):
         feature_report(fig1, bad)
     with pytest.raises(InfeasibleSolutionError):
-        report_row("fig1", fig1, bad)
+        report_row("fig1", fig1, bad, k_upper(fig1, BPP_HEURISTIC))
+
+
+def test_report_solves_k_upper_once_per_item_set(tmp_path, monkeypatch):
+    # Cost-mode twins share items, classes, capacity and setup weights; the
+    # near-twin differs from its twin in one setup weight only.
+    instances = {}
+    for seed in (0, 1):
+        for mode in (COST_WITH, COST_WITHOUT):
+            cfg = GeneratorConfig(25, 5, 200, mode, "small", "small", seed)
+            instances[f"s{seed}_{mode}"] = generate(cfg)
+    base = instances["s0_with-costs"]
+    setups = (base.setup_weights[0] + 1, *base.setup_weights[1:])
+    instances["s0_near"] = dataclasses.replace(base, setup_weights=setups)
+    for name, inst in instances.items():
+        write_instance(inst, tmp_path / f"{name}.txt")
+
+    solved = []
+
+    def counted(inst, mode):
+        solved.append((inst.capacity, inst.setup_weights, inst.weights, inst.class_of))
+        return k_upper(inst, mode)
+
+    monkeypatch.setattr(report, "k_upper", counted)
+    rows = collect_report(tmp_path)
+    assert len(rows) == 5
+    assert len(solved) == len(set(solved)) == 3
+    for row in rows:
+        inst = read_instance(tmp_path / f"{row['instance']}.txt")
+        assert row["k_upper"] == str(k_upper(inst, BPP_HEURISTIC))
