@@ -22,6 +22,7 @@ from .cha import BPP_EXACT, BPP_MODES, STEP2_BLOCKS, cha
 from .core import (
     BppsError,
     InfeasibleSolutionError,
+    Instance,
     InvalidInstanceError,
     Solution,
     check_feasible,
@@ -267,21 +268,24 @@ _WORSTCASE_COLUMNS = (
 )
 
 
+def _worstcase_instance(args: argparse.Namespace, value: int) -> Instance:
+    try:
+        if args.family == gen.FAMILY_PROP2:
+            return gen.worst_case(gen.FAMILY_PROP2, n=value, r=args.r, f1=args.f1)
+        return gen.worst_case(gen.FAMILY_PROP5, n=args.n, theta=value, r=args.r, f1=args.f1)
+    except (ValueError, InvalidInstanceError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _worstcase_rows(args: argparse.Namespace) -> list[dict[str, str]]:
     lo, hi = args.sweep
+    # The values that build form one interval, so once both ends build,
+    # every value between them does: a bad end is refused before the sweep.
+    ends = {value: _worstcase_instance(args, value) for value in (lo, hi)}
     rows = []
     for value in range(lo, hi + 1):
-        try:
-            if args.family == gen.FAMILY_PROP2:
-                inst = gen.worst_case(gen.FAMILY_PROP2, n=value, r=args.r, f1=args.f1)
-                n, theta = value, ""
-            else:
-                inst = gen.worst_case(
-                    gen.FAMILY_PROP5, n=args.n, theta=value, r=args.r, f1=args.f1
-                )
-                n, theta = args.n, value
-        except (ValueError, InvalidInstanceError) as exc:
-            raise UsageError(str(exc)) from exc
+        inst = ends.pop(value) if value in ends else _worstcase_instance(args, value)
+        n, theta = inst.n, ("" if args.family == gen.FAMILY_PROP2 else value)
         psi = n * (args.r + args.f1)
         report = bounds_report(inst)
         zetas = (report.zeta_n, report.zeta_dag, report.zeta_ddag)

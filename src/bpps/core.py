@@ -155,11 +155,10 @@ class Instance:
         if len(self.setup_costs) != len(self.setup_weights):
             raise ValueError("setup_costs and setup_weights must have equal length")
         m = len(self.setup_weights)
+        members: list[list[int]] = [[] for _ in range(m)]
         for i, c in enumerate(self.class_of, start=1):
             if not 1 <= c <= m:
                 raise ValueError(f"item {i} has class {c} outside 1..{m}")
-        members: list[list[int]] = [[] for _ in range(m)]
-        for i, c in enumerate(self.class_of, start=1):
             members[c - 1].append(i)
         object.__setattr__(
             self, "_class_items", tuple(tuple(v) for v in members)
@@ -271,10 +270,12 @@ def validate_instance(inst: Instance) -> ValidationReport:
         v.append(Violation(V_VALUE_TOO_LARGE, None, inst.capacity, MAX_VALUE))
     if inst.bin_cost > MAX_VALUE:
         v.append(Violation(V_VALUE_TOO_LARGE, None, inst.bin_cost, MAX_VALUE))
-    for i in inst.items:
-        combined = inst.weight(i) + inst.setup_weights[inst.item_class(i) - 1]
-        if combined > inst.capacity:
-            v.append(Violation(V_ITEM_SETUP_OVERFLOW, i, combined, inst.capacity))
+    setups = inst.setup_weights
+    capacity = inst.capacity
+    for i, (weight, c) in enumerate(zip(inst.weights, inst.class_of), start=1):
+        combined = weight + setups[c - 1]
+        if combined > capacity:
+            v.append(Violation(V_ITEM_SETUP_OVERFLOW, i, combined, capacity))
     for c in inst.classes:
         if not inst.items_of_class(c):
             v.append(Violation(V_EMPTY_CLASS, c, 0, ">= 1"))

@@ -10,7 +10,9 @@ Randomness: Python's Mersenne Twister, one sub-stream per field derived
 from the config seed as ``Random(seed * 8 + field)`` with fields
 0 = class labels, 1 = item weights, 2 = setup weights, 3 = setup costs.
 The same config therefore always yields the same instance, independently
-of which other instances are generated around it.
+of which other instances are generated around it.  Each integer is drawn
+by rejection on its stream's ``getrandbits``, exactly as ``Random.randint``
+draws, so the streams give the integers ``randint`` would.
 """
 
 from __future__ import annotations
@@ -139,6 +141,26 @@ def _stream(seed: int, field: int) -> random.Random:
     return random.Random(seed * 8 + field)
 
 
+def _draws(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    """``count`` integers drawn uniformly from ``[lo, hi]``.
+
+    Each is drawn by rejection on ``rng.getrandbits(width.bit_length())``,
+    exactly as ``rng.randint(lo, hi)`` draws on CPython 3.2 and later, so the
+    list equals ``[rng.randint(lo, hi) for _ in range(count)]`` and leaves
+    ``rng`` in the same state.  A rejected draw only delays the next value,
+    so the draws are made in batches of the count still missing: no batch
+    draws past the last value kept.
+    """
+    width = hi - lo + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    values: list[int] = []
+    while len(values) < count:
+        batch = [getrandbits(bits) for _ in range(count - len(values))]
+        values += [lo + r for r in batch if r < width]
+    return values
+
+
 def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
     """Generate one instance; pure function of the config.
 
@@ -164,19 +186,19 @@ def generate_verbose(cfg: GeneratorConfig) -> GenOutcome:
     trivial_redraws = 0
     for _ in range(_MAX_REDRAWS):
         for _ in range(_MAX_REDRAWS):
-            labels = [rng_labels.randint(1, cfg.m) for _ in range(cfg.n)]
+            labels = _draws(rng_labels, 1, cfg.m, cfg.n)
             if len(set(labels)) == cfg.m:
                 break
             class_redraws += 1
         else:  # every draw missed a class: cover them all first
             labels = list(range(1, cfg.m + 1))
-            labels += [rng_labels.randint(1, cfg.m) for _ in range(cfg.n - cfg.m)]
+            labels += _draws(rng_labels, 1, cfg.m, cfg.n - cfg.m)
             rng_labels.shuffle(labels)
-        weights = [rng_weights.randint(w_lo, w_hi) for _ in range(cfg.n)]
-        setups = [rng_setups.randint(s_lo, s_hi) for _ in range(cfg.m)]
+        weights = _draws(rng_weights, w_lo, w_hi, cfg.n)
+        setups = _draws(rng_setups, s_lo, s_hi, cfg.m)
         if cfg.cost_mode == COST_WITH:
             bin_cost = WITH_COSTS_BIN_COST
-            costs = [rng_costs.randint(1, bin_cost // 2) for _ in range(cfg.m)]
+            costs = _draws(rng_costs, 1, bin_cost // 2, cfg.m)
         else:
             bin_cost = NO_COSTS_BIN_COST
             costs = [0] * cfg.m

@@ -27,7 +27,7 @@ from bpps.files import (
     write_instance,
     write_solution,
 )
-from bpps.gen import COST_WITH, GeneratorConfig, generate
+from bpps.gen import COST_WITH, GeneratorConfig, generate, worst_case
 from bpps.milp import parse_lp_file
 from conftest import count_feasibility_checks, fig1_instance
 
@@ -275,6 +275,31 @@ def test_worstcase_prop5(capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[5] == "10"  # psi
     assert row[7] == "503/100"  # strengthened bound at theta=100
+
+
+@pytest.mark.parametrize(
+    "family, sweep, message",
+    [
+        ("prop2", "2:1000001", "1000001 items above the largest item count"),
+        ("prop5", "1:1073741824", "value-too-large (measured 2147483648"),
+    ],
+    ids=["prop2-n-above-max-items", "prop5-capacity-above-max-value"],
+)
+def test_worstcase_refuses_a_bad_sweep_end_before_the_sweep(
+    monkeypatch, capsys, family, sweep, message
+):
+    # Without the check up front, the sweep builds every instance below HI.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        assert len(calls) <= 2, "the sweep was built before its end was checked"
+        return worst_case(*args, **kwargs)
+
+    monkeypatch.setattr("bpps.gen.worst_case", counted)
+    assert main(["worstcase", "--family", family, "--sweep", sweep]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -13,16 +13,25 @@ from bpps.core import (
     InvalidInstanceError,
     Solution,
     V_BIN_CAPACITY,
+    V_BIN_COST,
+    V_CAPACITY_VALUE,
     V_EMPTY_BIN,
     V_EMPTY_CLASS,
     V_ITEM_DUPLICATED,
     V_ITEM_MISSING,
     V_ITEM_SETUP_OVERFLOW,
+    V_ITEM_WEIGHT,
+    V_SETUP_COST,
+    V_SETUP_WEIGHT,
     V_VALUE_TOO_LARGE,
+    ValidationReport,
+    Violation,
     active_classes,
     bin_load,
     check_feasible,
+    check_item_count,
     solution_cost,
+    store_integers,
     validate_instance,
 )
 from conftest import allocates_at_most, fig1_instance, random_instance
@@ -118,6 +127,156 @@ class TestValidateInstance:
                 match=f"^{MAX_ITEMS + 1} {field} above the largest item count {MAX_ITEMS}$",
             ):
                 replace(fig1, **{field: range(MAX_ITEMS + 1)})
+
+
+class RefInstance:
+    """The checks ``Instance`` ran as it was built, before the label check
+    and the grouping became one loop, with the accessors
+    ``ref_validate_instance`` reads."""
+
+    def __init__(self, weights, capacity, class_of, setup_weights, setup_costs, bin_cost):
+        self.weights = weights
+        self.capacity = capacity
+        self.class_of = class_of
+        self.setup_weights = setup_weights
+        self.setup_costs = setup_costs
+        self.bin_cost = bin_cost
+        fields = ("weights", "class_of", "setup_weights", "setup_costs")
+        for name in fields:
+            check_item_count(name, len(getattr(self, name)))
+        store_integers(self, fields, ("capacity", "bin_cost"))
+        if not self.weights:
+            raise ValueError("instance must have at least one item")
+        if not self.setup_weights:
+            raise ValueError("instance must have at least one class")
+        if len(self.class_of) != len(self.weights):
+            raise ValueError("class_of must assign a class to every item")
+        if len(self.setup_costs) != len(self.setup_weights):
+            raise ValueError("setup_costs and setup_weights must have equal length")
+        m = len(self.setup_weights)
+        for i, c in enumerate(self.class_of, start=1):
+            if not 1 <= c <= m:
+                raise ValueError(f"item {i} has class {c} outside 1..{m}")
+        members: list[list[int]] = [[] for _ in range(m)]
+        for i, c in enumerate(self.class_of, start=1):
+            members[c - 1].append(i)
+        object.__setattr__(
+            self, "_class_items", tuple(tuple(v) for v in members)
+        )
+        ref_require_valid(self)
+
+    @property
+    def items(self) -> range:
+        return range(1, len(self.weights) + 1)
+
+    @property
+    def classes(self) -> range:
+        return range(1, len(self.setup_weights) + 1)
+
+    def weight(self, item: int) -> int:
+        return self.weights[item - 1]
+
+    def item_class(self, item: int) -> int:
+        return self.class_of[item - 1]
+
+    def items_of_class(self, c: int) -> tuple[int, ...]:
+        return self._class_items[c - 1]
+
+
+def ref_validate_instance(inst: RefInstance) -> ValidationReport:
+    v: list[Violation] = []
+    if inst.capacity < 1:
+        v.append(Violation(V_CAPACITY_VALUE, None, inst.capacity, ">= 1"))
+    if inst.bin_cost < 1:
+        v.append(Violation(V_BIN_COST, None, inst.bin_cost, ">= 1"))
+    for label, values, kind, low in (
+        ("weight", inst.weights, V_ITEM_WEIGHT, 1),
+        ("setup weight", inst.setup_weights, V_SETUP_WEIGHT, 0),
+        ("setup cost", inst.setup_costs, V_SETUP_COST, 0),
+    ):
+        for idx, value in enumerate(values, start=1):
+            if value < low:
+                v.append(Violation(kind, idx, value, f">= {low}"))
+            if value > MAX_VALUE:
+                v.append(Violation(V_VALUE_TOO_LARGE, idx, value, MAX_VALUE))
+    if inst.capacity > MAX_VALUE:
+        v.append(Violation(V_VALUE_TOO_LARGE, None, inst.capacity, MAX_VALUE))
+    if inst.bin_cost > MAX_VALUE:
+        v.append(Violation(V_VALUE_TOO_LARGE, None, inst.bin_cost, MAX_VALUE))
+    for i in inst.items:
+        combined = inst.weight(i) + inst.setup_weights[inst.item_class(i) - 1]
+        if combined > inst.capacity:
+            v.append(Violation(V_ITEM_SETUP_OVERFLOW, i, combined, inst.capacity))
+    for c in inst.classes:
+        if not inst.items_of_class(c):
+            v.append(Violation(V_EMPTY_CLASS, c, 0, ">= 1"))
+    return ValidationReport(tuple(v))
+
+
+def ref_require_valid(inst: RefInstance) -> None:
+    report = ref_validate_instance(inst)
+    if not report.ok:
+        raise InvalidInstanceError(report)
+
+
+def inject_fault(rng: random.Random, fields: dict) -> str:
+    """Break ``fields`` in one of the ways validation must catch; name the way."""
+    weights, labels = fields["weights"], fields["class_of"]
+    setups, costs = fields["setup_weights"], fields["setup_costs"]
+    i = rng.randrange(len(weights))
+    fault = rng.choice(
+        ["label", "zero-weight", "huge-weight", "huge-capacity", "overflow", "empty-class",
+         "negative-cost"]
+    )
+    if fault == "label":
+        labels[i] = rng.choice((0, len(setups) + 1))
+    elif fault == "zero-weight":
+        weights[i] = 0
+    elif fault == "huge-weight":
+        weights[i] = MAX_VALUE + rng.randint(1, 5)
+    elif fault == "huge-capacity":
+        fields["capacity"] = MAX_VALUE + 1
+    elif fault == "overflow":
+        c = labels[i]
+        weights[i] = fields["capacity"] - setups[c - 1] + 1 if 1 <= c <= len(setups) else 1
+    elif fault == "empty-class":
+        setups.append(rng.randint(0, 3))
+        costs.append(rng.randint(0, 3))
+    else:
+        costs[rng.randrange(len(costs))] = -rng.randint(1, 5)
+    return fault
+
+
+def validation_outcome(build, validate, fields: dict):
+    """The exception building raises, or the report of the built instance."""
+    try:
+        inst = build(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+    except (ValueError, InvalidInstanceError) as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+    return None, None, validate(inst)
+
+
+def test_validation_matches_the_reference_with_injected_faults():
+    rng = random.Random(2024)
+    faults: set[str] = set()
+    raised: list[type | None] = []
+    for _ in range(600):
+        inst = random_instance(rng, max_n=12, max_m=4)
+        fields = {
+            "weights": list(inst.weights),
+            "capacity": inst.capacity,
+            "class_of": list(inst.class_of),
+            "setup_weights": list(inst.setup_weights),
+            "setup_costs": list(inst.setup_costs),
+            "bin_cost": inst.bin_cost,
+        }
+        for _ in range(rng.randint(0, 3)):
+            faults.add(inject_fault(rng, fields))
+        expected = validation_outcome(RefInstance, ref_validate_instance, fields)
+        assert validation_outcome(Instance, validate_instance, fields) == expected
+        raised.append(expected[0])
+    assert len(faults) == 7
+    assert {None, ValueError, InvalidInstanceError} <= set(raised)
 
 
 class TestCheckFeasible:

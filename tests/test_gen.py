@@ -12,6 +12,7 @@ from bpps.gen import (
     COST_WITH,
     COST_WITHOUT,
     GeneratorConfig,
+    _draws,
     benchmark_configs,
     generate,
     generate_verbose,
@@ -208,9 +209,29 @@ def test_random_seed_streams_are_field_independent():
 
 
 def test_generator_is_usable_with_stdlib_random_seeding():
-    # The documented sub-stream layout: field index packed into the seed.
-    rng = random.Random(7 * 8 + 1)
+    # The documented sub-stream layout: field index packed into the seed,
+    # and each field drawn as randint draws it (the seed-7 labels hit all
+    # five classes at the first draw).
     cfg = small_cfg(seed=7)
     inst = generate(cfg)
-    expected = [rng.randint(10, 30) for _ in range(25)]
-    assert list(inst.weights) == expected
+    for field, values, lo, hi in (
+        (0, inst.class_of, 1, 5),
+        (1, inst.weights, 10, 30),
+        (2, inst.setup_weights, 2, 20),
+        (3, inst.setup_costs, 1, 5),
+    ):
+        rng = random.Random(7 * 8 + field)
+        assert list(values) == [rng.randint(lo, hi) for _ in values]
+
+
+@pytest.mark.parametrize(
+    "width", [1, 2, 3, 2**5, 2**5 + 1, 2**16, 2**16 + 1, 2**31 - 1]
+)
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_draws_equal_randint_and_leave_the_same_state(width, seed):
+    lo = 3
+    hi = lo + width - 1
+    for count in (0, 1, 40):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        assert _draws(ours, lo, hi, count) == [stdlib.randint(lo, hi) for _ in range(count)]
+        assert ours.getrandbits(32) == stdlib.getrandbits(32)

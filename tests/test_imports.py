@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module,
 instance validation stays in ``core``, the heuristic path takes only
 the settings its callers set, the model's variants and row families
-are each defined once, and every exception is raised where it arises.
+are each defined once, every exception is raised where it arises, and
+the generator draws every integer through its one draw kernel.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -192,3 +193,33 @@ def test_the_check_sees_a_held_exception():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_exceptions_are_raised_where_they_arise(path):
     assert held_raises(path.read_text(encoding="utf-8")) == []
+
+
+#: ``gen._draws`` draws as these do; a call to one would bypass it.
+STDLIB_DRAWS = {"randint", "randrange"}
+
+
+def stdlib_draws(source: str) -> list[str]:
+    """Calls of ``randint`` or ``randrange``, as a method or by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in STDLIB_DRAWS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_the_check_sees_a_stdlib_draw():
+    source = (
+        '"""Draws as rng.randint(lo, hi) draws."""\n'
+        "a = rng.randint(1, 5)\n"
+        "b = randrange(3)\n"
+        "c = rng.getrandbits(3)\n"
+    )
+    assert stdlib_draws(source) == ["line 2: randint", "line 3: randrange"]
+
+
+def test_the_generator_draws_only_through_its_kernel():
+    assert stdlib_draws((PACKAGE / "gen.py").read_text(encoding="utf-8")) == []
