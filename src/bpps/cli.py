@@ -438,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except milp.ModelTooLargeError as exc:
+        print(f"model too large: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (FileFormatError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO

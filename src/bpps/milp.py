@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -49,7 +49,16 @@ ROW_PREFIX = {
     FAMILY_MCI: "mci_",
     FAMILY_MBI: "mbi",
 }
+#: The five prefixes, which the reference readers in the tests match.
 _ROW_PREFIXES = tuple(ROW_PREFIX.values())
+#: Each family by the first two letters of its prefix.
+_FAMILY_OF_LEAD = {prefix[:2]: family for family, prefix in ROW_PREFIX.items()}
+
+#: The most variables, ``(n + m + 1) * k``, a model may have.  Building and
+#: rendering take about 0.7 KB per variable, so the largest model allowed
+#: takes about 350 MB; the benchmark grid's largest, ``n = 200`` in ``N``,
+#: has 42,200.
+MAX_MODEL_VARIABLES = 500_000
 
 #: Solver output values within this distance of 0 or 1 are rounded.
 BINARY_TOLERANCE = 1e-6
@@ -67,11 +76,16 @@ class SolutionImportError(BppsError):
     """An imported assignment fails a model row, or the model has another size."""
 
 
+class ModelTooLargeError(BppsError):
+    """The model would have more than ``MAX_MODEL_VARIABLES`` variables."""
+
+
 def _family_of(name: str) -> str:
-    for family, prefix in ROW_PREFIX.items():
-        if name.startswith(prefix):
-            return family
-    raise LpFormatError(f"unrecognized row name {name!r}")
+    """The family of the row ``name``, which starts with the family's prefix."""
+    family = _FAMILY_OF_LEAD.get(name[:2])
+    if family is None or not name.startswith(ROW_PREFIX[family]):
+        raise LpFormatError(f"unrecognized row name {name!r}")
+    return family
 
 
 class Row(NamedTuple):
@@ -86,6 +100,10 @@ class Row(NamedTuple):
     def family(self) -> str:
         """The row family, read from the name prefix."""
         return _family_of(self.name)
+
+
+#: Builds a ``Row`` from one 4-tuple without ``Row.__new__``'s Python frame.
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -109,10 +127,7 @@ class MilpModel:
         return len(self.rows)
 
     def row_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            counts[row.family] = counts.get(row.family, 0) + 1
-        return counts
+        return dict(Counter(_family_of(row.name) for row in self.rows))
 
 
 def var_x(i: int, b: int) -> str:
@@ -141,7 +156,9 @@ def build_model(
     (``exact_bin_bound`` switches to exact per-class packing of at most
     ``node_limit`` nodes per class, and raises
     :class:`~bpps.bpp.NodeLimitExceeded` when a class's search stops
-    unproved, as :func:`~bpps.cha.k_upper` does).  ``inst`` is valid by
+    unproved, as :func:`~bpps.cha.k_upper` does).  A model of more than
+    ``MAX_MODEL_VARIABLES`` variables raises :class:`ModelTooLargeError`
+    once ``k`` is known, before any of it is built.  ``inst`` is valid by
     construction, so no variant checks its data.
     """
     if variant not in VARIANT_FAMILIES:
@@ -153,6 +170,11 @@ def build_model(
         k = k_upper(inst, mode, node_limit=node_limit)
     else:
         k = n
+    if (n + m + 1) * k > MAX_MODEL_VARIABLES:
+        raise ModelTooLargeError(
+            f"variant {variant} would have (n + m + 1) * k = {(n + m + 1) * k:,} variables,"
+            f" more than {MAX_MODEL_VARIABLES:,}"
+        )
     bins = range(1, k + 1)
     # Name tables up front: the builders below reference each name several
     # times and f-string formatting dominates construction otherwise.
@@ -185,14 +207,17 @@ def build_model(
         terms.extend((per_class[b - 1], s) for per_class, s in setups)
         terms.append((z_names[b - 1], -inst.capacity))
         rows.append(Row(f"{ROW_PREFIX[FAMILY_CAPACITY]}{b}", tuple(terms), "<=", 0))
+    # The n * k linking rows are made by map and zip, without a Python
+    # frame per row.
+    bin_labels = list(map(str, bins))
     for c in inst.classes:
         y_negs = [(name, -1) for name in y_names[c - 1]]
         for i in inst.items_of_class(c):
             prefix = f"{ROW_PREFIX[FAMILY_LINKING]}{c}_{i}_"
-            rows.extend(
-                Row(f"{prefix}{b}", pair, "<=", 0)
-                for b, pair in zip(bins, zip(x_units[i - 1], y_negs))
+            fields = zip(
+                map(prefix.__add__, bin_labels), zip(x_units[i - 1], y_negs), repeat("<="), repeat(0)
             )
+            rows.extend(map(_new_tuple, repeat(Row), fields))
     if FAMILY_MCI in families or FAMILY_MBI in families:
         report = bounds_report(inst)
     if FAMILY_MCI in families:
@@ -259,11 +284,21 @@ def render_lp(model: MilpModel) -> str:
     ]
     _wrap(" obj:", _term_tokens(model.objective), out)
     out.append("Subject To")
-    for row in model.rows:
-        tokens = _term_tokens(row.terms)
-        tokens.append(row.sense)
-        tokens.append(str(row.rhs))
-        _wrap(f" {row.name}:", tokens, out)
+    for name, terms, sense, rhs in model.rows:
+        # A row of terms (a, 1), (b, +/-1), such as a linking row, is
+        # written as _term_tokens and _wrap would write it when it fits
+        # one line.
+        if len(terms) == 2:
+            (a, ca), (b, cb) = terms
+            if ca == 1 and (cb == 1 or cb == -1):
+                line = f" {name}: {a} {'+' if cb == 1 else '-'} {b} {sense} {rhs}"
+                if len(line) <= _LINE_WIDTH:
+                    out.append(line)
+                    continue
+        tokens = _term_tokens(terms)
+        tokens.append(sense)
+        tokens.append(str(rhs))
+        _wrap(f" {name}:", tokens, out)
     out.append("Binaries")
     _wrap("", list(model.variables), out)
     out.append("End")
@@ -295,14 +330,18 @@ def _integer(text: str, what: str) -> int:
         raise LpFormatError(f"{what} is not an integer: {text!r}") from None
 
 
-def _parse_terms(
-    tokens: list[str], names: dict[str, str], shared: dict[_Term, _Term], row: str | None = None
-) -> tuple[_Term, ...]:
-    """Terms of the objective, or of the named row, from their tokens.
+#: The one object kept for each variable name and each term read so far,
+#: as ``(names, plus, minus, shared)``: ``names`` maps each name to itself,
+#: ``plus`` and ``minus`` map a name to its term of coefficient 1 and -1,
+#: and ``shared`` maps every other term to itself.  So equal names and
+#: equal terms of a model are one object, and a unit term is found by its
+#: name alone.
+_Pool = tuple[dict[str, str], dict[str, _Term], dict[str, _Term], dict[_Term, _Term]]
 
-    ``names`` and ``shared`` map each variable name and each term read so
-    far to itself, so equal names and equal terms of a model are one object.
-    """
+
+def _parse_terms(tokens: list[str], pool: _Pool, row: str | None = None) -> tuple[_Term, ...]:
+    """Terms of the objective, or of the named row, from their tokens."""
+    names, plus, minus, shared = pool
     terms: list[_Term] = []
     sign = 1
     coeff: int | None = None
@@ -317,8 +356,15 @@ def _parse_terms(
             except ValueError:  # more digits than int() converts
                 raise LpFormatError(f"{len(tok)}-digit coefficient in {_where(row)}") from None
         else:
-            term = (names.setdefault(tok, tok), sign if coeff is None else sign * coeff)
-            terms.append(shared.setdefault(term, term))
+            value = sign if coeff is None else sign * coeff
+            units = plus if value == 1 else minus if value == -1 else None
+            if units is None:
+                term = (names.setdefault(tok, tok), value)
+                term = shared.setdefault(term, term)
+            elif (term := units.get(tok)) is None:
+                name = names.setdefault(tok, tok)
+                term = units[name] = (name, value)
+            terms.append(term)
             sign, coeff = 1, None
     if coeff is not None:
         raise LpFormatError(f"dangling coefficient in {_where(row)}")
@@ -329,25 +375,26 @@ def _where(row: str | None) -> str:
     return "objective" if row is None else f"row {row}"
 
 
-def _parse_row(chunk: list[str], names: dict[str, str], shared: dict[_Term, _Term]) -> Row:
-    """The row whose tokens, from its ``name:`` on, are ``chunk``."""
+def _parse_row(chunk: list[str], pool: _Pool, counts: dict[str, int]) -> Row:
+    """The row whose tokens, from its ``name:`` on, are ``chunk``; ``counts``
+    counts it in its family."""
     name = chunk[0][:-1]
     body = chunk[1:-2]
     # The sense is the last token but one and no earlier token is one.
     if len(chunk) < 3 or chunk[-2] not in _SENSES or not _SENSES.keys().isdisjoint(body):
         raise LpFormatError(f"row {name!r} lacks a trailing sense and rhs")
-    terms = _parse_terms(body, names, shared, name)
-    if not name.startswith(_ROW_PREFIXES):
-        _family_of(name)  # raises: the name is outside the five families
+    terms = _parse_terms(body, pool, name)
+    family = _family_of(name)
     try:
         rhs = int(chunk[-1])
     except ValueError:  # _integer says why; its message is built only here
         rhs = _integer(chunk[-1], f"rhs of row {name!r}")
-    return Row(name, terms, _SENSES[chunk[-2]], rhs)
+    counts[family] += 1
+    return _new_tuple(Row, (name, terms, _SENSES[chunk[-2]], rhs))
 
 
-def _check_row_counts(variant: str, k: int, n: int, m: int, rows: list[Row]) -> None:
-    """Refuse rows whose count in a family differs from what the header implies."""
+def _check_row_counts(variant: str, k: int, n: int, m: int, counts: dict[str, int]) -> None:
+    """Refuse a family whose row count differs from what the header implies."""
     families = VARIANT_FAMILIES[variant]
     size = {
         FAMILY_ASSIGNMENT: n,
@@ -356,13 +403,8 @@ def _check_row_counts(variant: str, k: int, n: int, m: int, rows: list[Row]) -> 
         FAMILY_MCI: m,
         FAMILY_MBI: 1,
     }
-    # Every row name starts with one of the prefixes (``_parse_row``), and
-    # the prefixes differ in their first two letters.  A generator, not a
-    # list: a list of 40,000 leads would raise the reader's peak memory by
-    # 2 MB.
-    leads = Counter(row.name[:2] for row in rows)
-    for family, prefix in ROW_PREFIX.items():
-        got = leads[prefix[:2]]
+    for family in ROW_PREFIX:
+        got = counts[family]
         want = size[family] if family in families else 0
         if got != want:
             raise LpFormatError(f"read {got} {family} rows; the header implies {want}")
@@ -379,13 +421,12 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
     objective_tokens: list[str] = []
     binary_names: list[str] = []
     rows: list[Row] = []
-    names: dict[str, str] = {}
-    shared: dict[_Term, _Term] = {}
+    counts = dict.fromkeys(ROW_PREFIX, 0)
+    pool: _Pool = ({}, {}, {}, {})
+    names, plus, minus, shared = pool
+    units_after = {"+": plus, "-": minus}  # a sign token's unit terms
+    no_terms: dict[str, _Term] = {}
     chunk: list[str] | None = None  # the tokens of the row being read
-
-    def finish_row(chunk: list[str] | None) -> None:
-        if chunk is not None:
-            rows.append(_parse_row(chunk, names, shared))
 
     for raw in lines:
         tokens = raw.split()
@@ -410,12 +451,33 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
             if ":" not in raw and chunk is not None:
                 chunk.extend(tokens)
             elif first[-1] == ":" and raw.count(":") == 1:
-                finish_row(chunk)
+                if chunk is not None:
+                    # Most rows are ``name: a +/- b sense 0`` whose unit
+                    # terms were read before: every linking row but the
+                    # first of each y_c_b.  Such a row is built here as
+                    # _parse_row would build it, since a name found in
+                    # ``plus`` or ``minus`` was read as a name and is no
+                    # sign, number or sense.  Any other row goes there.
+                    row = None
+                    if len(chunk) == 6 and chunk[5] == "0":
+                        label, a, sign, b, sense, _ = chunk
+                        name = label[:-1]
+                        family = _FAMILY_OF_LEAD.get(name[:2])
+                        left = plus.get(a)
+                        right = units_after.get(sign, no_terms).get(b)
+                        if (
+                            left and right and sense in _SENSES
+                            and family and name.startswith(ROW_PREFIX[family])
+                        ):
+                            counts[family] += 1
+                            row = _new_tuple(Row, (name, (left, right), _SENSES[sense], 0))
+                    rows.append(row or _parse_row(chunk, pool, counts))
                 chunk = tokens
             else:
                 for tok in tokens:
                     if tok.endswith(":"):
-                        finish_row(chunk)
+                        if chunk is not None:
+                            rows.append(_parse_row(chunk, pool, counts))
                         chunk = [tok]
                     elif chunk is not None:
                         chunk.append(tok)
@@ -427,7 +489,8 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
             binary_names.extend(map(names.get, tokens, tokens))
         else:
             raise LpFormatError(f"unexpected line outside sections: {raw.strip()!r}")
-    finish_row(chunk)
+    if chunk is not None:
+        rows.append(_parse_row(chunk, pool, counts))
 
     for key in ("variant", "k", "n", "m"):
         if key not in meta:
@@ -435,7 +498,11 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
 
     if objective_tokens and objective_tokens[0].endswith(":"):
         objective_tokens = objective_tokens[1:]
-    objective = _parse_terms(objective_tokens, names, shared)
+    objective = _parse_terms(objective_tokens, pool)
+    # The model holds every term it needs.  Dropping the term tables here
+    # keeps them out of the peak that the set of listed names sets below.
+    for table in (plus, minus, shared):
+        table.clear()
 
     variant = meta["variant"]
     k = _integer(meta["k"], "header value k")
@@ -455,7 +522,7 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
             for var, _ in terms:
                 if var not in known:
                     raise LpFormatError(f"{owner} names {var!r}, which Binaries does not list")
-    _check_row_counts(variant, k, n, m, rows)
+    _check_row_counts(variant, k, n, m, counts)
     return MilpModel(
         variant=variant,
         k=k,

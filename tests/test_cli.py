@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bpps
 from bpps.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -235,6 +238,36 @@ def test_emit_model_star(fig1_file, tmp_path, capsys):
     ) == EXIT_OK
     assert "55 variables" in capsys.readouterr().out
     assert out_path.read_text().startswith("\\ bpps variant=STAR k=5")
+
+
+def test_emit_model_past_the_size_budget_exits_1_in_one_line(tmp_path):
+    # N at n = 1,500 has about 2.3 million variables, some 1.6 GB built and
+    # rendered.  Under a 600 MB address-space limit it used to end in a
+    # chain of MemoryError tracebacks.
+    inst_path = tmp_path / "big.txt"
+    write_instance(Instance((2,) * 1500, 5, (1, 2) * 750, (1, 1), (1, 1), 7), inst_path)
+    lp_path = tmp_path / "big.lp"
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))\n"
+        "from bpps.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(bpps.__file__).parent.parent)
+    argv = ["emit-model", "--instance", str(inst_path), "--variant", "n", "--out", str(lp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", limited, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("model too large: variant N would have ")
+    assert not lp_path.exists()
 
 
 def test_gen_single_instance_to_file(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module,
 instance validation stays in ``core``, the heuristic path takes only
 the settings its callers set, the model's variants and row families
-are each defined once, every exception is raised where it arises, and
-the generator draws every integer through its one draw kernel.
+are each defined once, every exception is raised where it arises, the
+generator draws every integer through its one draw kernel, and no
+module changes interpreter state that every caller in the process shares.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -223,3 +224,78 @@ def test_the_check_sees_a_stdlib_draw():
 
 def test_the_generator_draws_only_through_its_kernel():
     assert stdlib_draws((PACKAGE / "gen.py").read_text(encoding="utf-8")) == []
+
+
+#: Calls that change the interpreter for the whole process: the garbage
+#: collector's switches, and string interning, whose table lives as long
+#: as the strings it holds.
+PROCESS_WIDE_CALLS = {"gc": {"disable", "enable", "freeze"}, "sys": {"intern"}}
+#: ``functools`` caches; one bound at module level lives for the process.
+CACHES = {"cache", "lru_cache"}
+
+
+def is_cache(node: ast.expr) -> bool:
+    """``cache``, ``functools.lru_cache``, or a call of one: ``lru_cache(maxsize=8)``."""
+    if isinstance(node, ast.Call):
+        return is_cache(node.func)
+    if isinstance(node, ast.Attribute):
+        return node.attr in CACHES and getattr(node.value, "id", None) == "functools"
+    return isinstance(node, ast.Name) and node.id in CACHES
+
+
+def process_wide_state(source: str) -> list[str]:
+    """Calls and imports of ``gc.disable``, ``gc.enable``, ``gc.freeze`` and
+    ``sys.intern``, and ``functools`` caches bound at module level, as a
+    decorator of a module-level function or in a module-level assignment."""
+    tree = ast.parse(source)
+    found: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            module = getattr(node.func.value, "id", None)
+            if node.func.attr in PROCESS_WIDE_CALLS.get(module, ()):
+                found.append((node.lineno, f"{module}.{node.func.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            names = PROCESS_WIDE_CALLS.get(node.module, ())
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names if a.name in names]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(d.lineno, "cache") for d in node.decorator_list if is_cache(d)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and is_cache(node.value):
+            found.append((node.lineno, "cache"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_check_sees_process_wide_state():
+    source = (
+        "import functools, gc, sys\n"
+        "from gc import freeze\n"
+        "gc.disable()\n"
+        "name = sys.intern(text)\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(x):\n"
+        "    @functools.cache\n"
+        "    def g(y):\n"
+        "        return y\n"
+        "    gc.enable()\n"
+        "    return g(x)\n"
+        "@cache\n"
+        "def h(x):\n"
+        "    return x\n"
+        "memo = lru_cache(maxsize=4)(h)\n"
+        "gc.collect()\n"
+        "f = functools.partial(h)\n"
+    )
+    assert process_wide_state(source) == [
+        "line 2: gc.freeze",
+        "line 3: gc.disable",
+        "line 4: sys.intern",
+        "line 5: cache",
+        "line 10: gc.enable",
+        "line 12: cache",
+        "line 15: cache",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_changes_process_wide_state(path):
+    assert process_wide_state(path.read_text(encoding="utf-8")) == []

@@ -664,6 +664,135 @@ def test_file_lines_break_where_splitlines_breaks(tmp_path):
     assert parse_lp_file(path) == parse_lp(edited) == two_phase_parse_lp(edited) == model
 
 
+# ------------------------------------------- rows of two terms, on one line
+#
+# The writer puts a row of two unit terms on one line when it fits, and
+# the reader builds ``name: a +/- b sense 0`` without its term loop once it
+# has read both unit terms.  These cases sit at the edges of both paths.
+
+#: A linking row whose two terms were read before it: x_2_1 in assign_2 and
+#: (y_1_1, -1) in link_1_1_1.
+LINK = " link_1_2_1: x_2_1 - y_1_1 <= 0\n"
+
+
+def read_everywhere(text: str, path) -> MilpModel | str:
+    """What every reader gives for ``text``: one model, or one error message.
+
+    ``ref_parse_lp`` checks no model, so it is compared where the text
+    holds one.
+    """
+    path.write_text(text, encoding="ascii")
+    outcome = read(parse_lp, text)
+    assert read(parse_lp_file, path) == read(two_phase_parse_lp, text) == outcome
+    if isinstance(outcome, MilpModel):
+        assert ref_parse_lp(text) == outcome
+    return outcome
+
+
+def edit_links(model: MilpModel, edit) -> MilpModel:
+    """The model with ``edit`` applied to each of its linking rows."""
+    rows = tuple(edit(row) if row.name.startswith("link_") else row for row in model.rows)
+    return replace(model, rows=rows)
+
+
+@pytest.mark.parametrize("width", [_LINE_WIDTH - 1, _LINE_WIDTH, _LINE_WIDTH + 1])
+def test_two_term_rows_at_the_line_width(width, tmp_path):
+    def widen(row: Row) -> Row:
+        (a, _), (b, _) = row.terms
+        line = f" {row.name}: {a} - {b} {row.sense} {row.rhs}"
+        return row._replace(name=row.name + "w" * (width - len(line)))
+
+    model = edit_links(build_model(fig1_instance(), VARIANT_DDAG), widen)
+    text = assert_same(model)
+    assert read_everywhere(text, tmp_path / "model.lp") == model
+    starts = [line for line in text.splitlines() if line.startswith(" link_")]
+    assert len(starts) == model.n * model.k
+    if width <= _LINE_WIDTH:
+        assert {len(line) for line in starts} == {width}
+    else:  # each row breaks before its rhs
+        assert {len(line) for line in starts} == {width - 2}
+        assert text.count("\n 0\n") == model.n * model.k
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 1), (2, -1), (1, -3), (1, 2), (-1, -1), (-1, 1), (-4, 5)],
+    ids=["a-plus-b", "first-not-unit", "second-minus-3", "second-plus-2",
+         "negative-first", "negative-first-plus", "neither-unit"],
+)
+@pytest.mark.parametrize("sense, rhs", [("<=", 0), (">=", 0), ("=", 1), ("<=", -1)])
+def test_two_term_rows_of_other_coefficients(coeffs, sense, rhs, tmp_path):
+    def recoefficient(row: Row) -> Row:
+        (a, _), (b, _) = row.terms
+        return row._replace(terms=((a, coeffs[0]), (b, coeffs[1])), sense=sense, rhs=rhs)
+
+    model = edit_links(build_model(fig1_instance(), VARIANT_DDAG), recoefficient)
+    assert read_everywhere(assert_same(model), tmp_path / "model.lp") == model
+
+
+def test_two_term_first_line_continued_on_the_next(tmp_path):
+    text = render_lp(build_model(fig1_instance(), VARIANT_DDAG))
+    assert LINK in text
+    continued = text.replace(LINK, " link_1_2_1: x_2_1 - y_1_1\n + z_1 <= 0\n", 1)
+    model = read_everywhere(continued, tmp_path / "model.lp")
+    assert (("x_2_1", 1), ("y_1_1", -1), ("z_1", 1)) in (row.terms for row in model.rows)
+    # A whole first line continued by a third term puts the sense in the body.
+    extended = text.replace(LINK, LINK + " + z_1\n", 1)
+    message = "row 'link_1_2_1' lacks a trailing sense and rhs"
+    assert read_everywhere(extended, tmp_path / "model.lp") == message
+
+
+@pytest.mark.parametrize(
+    "comment", ["\\ x: a note\n", "\\ x:\n", "\\x: y: z\n"], ids=["words", "bare", "two-colons"]
+)
+def test_comment_inside_subject_to(comment, tmp_path):
+    model = build_model(fig1_instance(), VARIANT_DDAG)
+    text = render_lp(model)
+    commented = text.replace(LINK, comment + LINK + comment, 1)
+    commented = commented.replace("Subject To\n", "Subject To\n" + comment, 1)
+    assert commented.count(comment) == 3
+    assert read_everywhere(commented, tmp_path / "model.lp") == model
+
+
+#: Six-token linking rows the short path must not build as they stand, and
+#: what the readers give: an error, or (None) the model as built.
+TWO_TERM_FAULTS = {
+    "row-name": (" lnk_1_2_1: x_2_1 - y_1_1 <= 0\n", "unrecognized row name 'lnk_1_2_1'"),
+    "short-prefix": (" lin_1_2_1: x_2_1 - y_1_1 <= 0\n", "unrecognized row name 'lin_1_2_1'"),
+    "empty-name": (" :: x_2_1 - y_1_1 <= 0\n", "unrecognized row name ':'"),
+    "sense-in-body": (
+        " link_1_2_1: x_2_1 <= y_1_1 <= 0\n", "row 'link_1_2_1' lacks a trailing sense and rhs"
+    ),
+    "sense-last": (
+        " link_1_2_1: x_2_1 - y_1_1 0 <=\n", "row 'link_1_2_1' lacks a trailing sense and rhs"
+    ),
+    "no-sense": (
+        " link_1_2_1: x_2_1 - y_1_1 =< 0\n", "row 'link_1_2_1' lacks a trailing sense and rhs"
+    ),
+    "no-sign": (
+        " link_1_2_1: x_2_1 * y_1_1 <= 0\n",
+        "row 'link_1_2_1' names '*', which Binaries does not list",
+    ),
+    "dangling": (" link_1_2_1: x_2_1 - 2 <= 0\n", "dangling coefficient in row link_1_2_1"),
+    "unlisted": (
+        " link_1_2_1: x_2_1 - y_9_9 <= 0\n",
+        "row 'link_1_2_1' names 'y_9_9', which Binaries does not list",
+    ),
+    "decimal-rhs": (
+        " link_1_2_1: x_2_1 - y_1_1 <= 0.0\n",
+        "rhs of row 'link_1_2_1' is not an integer: '0.0'",
+    ),
+    "padded-rhs": (" link_1_2_1: x_2_1 - y_1_1 <= 00\n", None),
+}
+
+
+@pytest.mark.parametrize("new, expected", TWO_TERM_FAULTS.values(), ids=TWO_TERM_FAULTS)
+def test_two_term_row_faults_match_the_two_phase_reader(new, expected, tmp_path):
+    model = build_model(fig1_instance(), VARIANT_DDAG)
+    outcome = read_everywhere(render_lp(model).replace(LINK, new, 1), tmp_path / "model.lp")
+    assert outcome == (model if expected is None else expected)
+
+
 @pytest.mark.parametrize("bin_cost", [1, 10])
 @pytest.mark.parametrize("variant", MODEL_VARIANTS)
 def test_import_matches_the_reference_on_fig1(bin_cost, variant):
