@@ -336,19 +336,7 @@ def _add_node_limit(p: argparse.ArgumentParser, help_text: str) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse builds a HelpFormatter for every add_argument, and each one
-    # asks the terminal for its width; read it once and hand it to them all.
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    parser = _Parser(prog="bpps", description=__doc__, formatter_class=formatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, formatter_class=formatter)
-
-    p = add("gen", "generate instances")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--benchmark", action="store_true", help="emit the full 480-instance grid")
     p.add_argument("--out-dir", default="instances", help="directory for --benchmark")
     p.add_argument("--base-seed", type=int, default=0)
@@ -361,22 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--free-form", action="store_true", help="allow off-grid n/m/d")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_gen)
 
-    p = add("bounds", "print closed-form bounds")
+
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = add("cha", "run the constructive heuristic")
+
+def _cha_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--bpp-mode", choices=BPP_MODES, default=BPP_EXACT)
     _add_node_limit(
         p, "nodes each per-class search may take in exact mode (heuristic mode ignores it)"
     )
     p.add_argument("--out", help="write the solution file here")
-    p.set_defaults(func=_cmd_cha)
 
-    p = add("solve", "solve exactly")
+
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=("auto", "brute", "bnb"), default="auto")
     _add_node_limit(p, "nodes branch-and-bound may take (brute force ignores it)")
@@ -384,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-limit", type=_at_least_zero(float, "seconds"), default=exact.DEFAULT_TIME_LIMIT
     )
     p.add_argument("--out", help="write the solution file here")
-    p.set_defaults(func=_cmd_solve)
 
-    p = add("emit-model", "write an LP-format model file")
+
+def _emit_model_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--variant", choices=tuple(_VARIANT_FLAGS), required=True)
     p.add_argument("--out", required=True)
@@ -398,19 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_node_limit(
         p, "nodes each per-class search may take with --exact-kbar (ignored otherwise)"
     )
-    p.set_defaults(func=_cmd_emit_model)
 
-    p = add("verify", "check a solution file against an instance")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
-    p.set_defaults(func=_cmd_verify)
 
-    p = add("report", "aggregate a directory into CSV")
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("--out", help="CSV file (default: stdout)")
-    p.set_defaults(func=_cmd_report)
 
-    p = add("worstcase", "emit an adversarial family sweep as CSV")
+
+def _worstcase_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=gen.WORST_CASE_FAMILIES, required=True)
     p.add_argument(
         "--sweep",
@@ -422,13 +410,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--f1", type=int, default=0)
     p.add_argument("--out", help="CSV file (default: stdout)")
-    p.set_defaults(func=_cmd_worstcase)
+
+
+#: Each sub-command, in help order: its help line, its handler and the
+#: function that adds its arguments.
+_COMMANDS = {
+    "gen": ("generate instances", _cmd_gen, _gen_arguments),
+    "bounds": ("print closed-form bounds", _cmd_bounds, _bounds_arguments),
+    "cha": ("run the constructive heuristic", _cmd_cha, _cha_arguments),
+    "solve": ("solve exactly", _cmd_solve, _solve_arguments),
+    "emit-model": ("write an LP-format model file", _cmd_emit_model, _emit_model_arguments),
+    "verify": ("check a solution file against an instance", _cmd_verify, _verify_arguments),
+    "report": ("aggregate a directory into CSV", _cmd_report, _report_arguments),
+    "worstcase": ("emit an adversarial family sweep as CSV", _cmd_worstcase, _worstcase_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``bpps`` parser, with every sub-parser and its help line.
+
+    When ``command`` names a sub-command, only its sub-parser gets its
+    arguments, since argparse hands the rest of the line to that one
+    alone; otherwise (``None``, an option, an unknown name) every
+    sub-parser gets them, so each error reads as it would for a full parser.
+    """
+    # argparse builds a HelpFormatter for every add_argument, and each one
+    # asks the terminal for its width; read it once and hand it to them all.
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="bpps", description=__doc__, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in _COMMANDS
+    for name, (help_text, func, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        if every or name == command:
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

@@ -147,12 +147,15 @@ def branch_and_bound(
     :func:`bpps.bpp.depth_first` drives each probe, counts every node,
     built or not, its root included, and applies both limits; the probes
     share one node limit and one deadline, and once 1,024 nodes are walked
-    the clock is also read between probes.  When a limit is hit the
-    incumbent is returned with status ``limit-reached`` and, as lower
-    bound, the target of the probe it stopped, the last one not refuted.
+    the clock is also read between probes.  The deadline starts before
+    the heuristic, whose time counts against ``time_limit``.  When a limit
+    is hit the incumbent is returned with status ``limit-reached`` and, as
+    lower bound, the target of the probe it stopped, the last one not
+    refuted.
     A root bound at the incumbent proves it in one node.  ``inst`` is
     valid by construction: no data check.
     """
+    deadline = time.monotonic() + time_limit  # the heuristic's time counts too
     best_solution, trace = cha(inst, BPP_HEURISTIC)
     best_cost = trace.psi_bar
     d = inst.capacity
@@ -180,7 +183,6 @@ def branch_and_bound(
     # Running sums of max(act_count_c, gamma_c) * s_c and * f_c.
     sum_s = sum(gc * s for gc, s in zip(g, setup_w))
     sum_f = sum(gc * fc for gc, fc in zip(g, setup_f))
-    deadline = time.monotonic() + time_limit
 
     def expand(idx: int, k: int) -> Iterator:
         # The node after depth idx - 1 with k open bins; it passed its test.

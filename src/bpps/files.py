@@ -92,9 +92,9 @@ def parse_instance(text: str) -> Instance:
     if header[1:] != [str(FORMAT_VERSION)]:
         raise FileFormatError(f"unsupported format version {header[1:]}")
     try:
-        n, m, d, r = (int(v) for v in lines[1].split())
-        setup_costs = tuple(int(v) for v in lines[2].split())
-        setup_weights = tuple(int(v) for v in lines[3].split())
+        n, m, d, r = map(int, lines[1].split())
+        setup_costs = tuple(map(int, lines[2].split()))
+        setup_weights = tuple(map(int, lines[3].split()))
         item_lines = lines[4 : 4 + n]
         if len(setup_costs) != m or len(setup_weights) != m:
             raise FileFormatError(f"expected {m} setup costs and weights")
@@ -103,7 +103,7 @@ def parse_instance(text: str) -> Instance:
         weights = []
         class_of = []
         for line in item_lines:
-            w, c = (int(v) for v in line.split())
+            w, c = map(int, line.split())
             weights.append(w)
             class_of.append(c)
     except (ValueError, IndexError) as exc:

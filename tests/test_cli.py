@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bpps
+from bpps import cli
 from bpps.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -23,6 +24,7 @@ from bpps.cli import (
 )
 from bpps.cha import BPP_MODES, k_upper
 from bpps.core import Instance, InvalidInstanceError, Solution
+from bpps.exact import brute_force
 from bpps.files import (
     parse_instance,
     read_instance,
@@ -122,6 +124,114 @@ def test_help_keeps_its_bytes(monkeypatch, capsys, columns, command):
     assert stop.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[columns][command]
+
+
+#: A valid line for each sub-command, on the files ``run_both_parsers`` makes.
+VALID_ARGS = {
+    "gen": ["gen", "--n", "12", "--m", "3", "--free-form", "--seed", "1"],
+    "bounds": ["bounds", "--instance", "{inst}"],
+    "cha": ["cha", "--instance", "{inst}", "--bpp-mode", "heuristic"],
+    "solve": ["solve", "--instance", "{inst}", "--out", "{dir}/solved.sol"],
+    "emit-model": [
+        "emit-model", "--instance", "{inst}", "--variant", "star", "--out", "{dir}/m.lp"
+    ],
+    "verify": ["verify", "--instance", "{inst}", "--solution", "{sol}"],
+    "report": ["report", "--dir", "{dir}"],
+    "worstcase": ["worstcase", "--family", "prop5", "--sweep", "1:3"],
+}
+
+#: Lines argparse stops on, by sub-command and case: a fault it reports, or
+#: -h.  A sub-command without a choice or a typed option has no such case.
+STOPPED_ARGS = {
+    ("gen", "missing"): ["gen", "--out"],
+    ("gen", "choice"): ["gen", "--cost-mode", "free"],
+    ("gen", "type"): ["gen", "--n", "many"],
+    ("bounds", "missing"): ["bounds"],
+    ("cha", "missing"): ["cha", "--bpp-mode", "heuristic"],
+    ("cha", "choice"): ["cha", "--instance", "{inst}", "--bpp-mode", "fast"],
+    ("cha", "type"): ["cha", "--instance", "{inst}", "--node-limit", "-1"],
+    ("solve", "missing"): ["solve", "--method", "bnb"],
+    ("solve", "choice"): ["solve", "--instance", "{inst}", "--method", "greedy"],
+    ("solve", "type"): ["solve", "--instance", "{inst}", "--time-limit", "nan"],
+    ("emit-model", "missing"): ["emit-model", "--instance", "{inst}", "--out", "{dir}/m.lp"],
+    ("emit-model", "choice"): [
+        "emit-model", "--instance", "{inst}", "--variant", "x", "--out", "{dir}/m.lp"
+    ],
+    ("emit-model", "type"): ["emit-model", "--instance", "{inst}", "--node-limit", "x"],
+    ("verify", "missing"): ["verify", "--instance", "{inst}"],
+    ("report", "missing"): ["report", "--out", "{dir}/r.csv"],
+    ("worstcase", "missing"): ["worstcase", "--family", "prop2"],
+    ("worstcase", "choice"): ["worstcase", "--family", "prop9", "--sweep", "1:3"],
+    ("worstcase", "type"): ["worstcase", "--family", "prop2", "--sweep", "3:1"],
+}
+STOPPED_ARGS.update(
+    {(command, "unknown"): [*args, "--bogus"] for command, args in VALID_ARGS.items()}
+)
+STOPPED_ARGS.update({(command, "help"): [command, "-h"] for command in VALID_ARGS})
+STOPPED_ARGS.update(
+    {(command, "option-first"): ["-x", *args] for command, args in VALID_ARGS.items()}
+)
+STOPPED_ARGS.update(
+    {
+        ("-", "none"): [],
+        ("-", "help"): ["-h"],
+        ("-", "unknown-command"): ["nope", "--instance", "{inst}"],
+        ("-", "instance-first"): ["--instance", "{inst}", "bounds"],
+    }
+)
+ARGV_CASES = {(command, "valid"): args for command, args in VALID_ARGS.items()} | STOPPED_ARGS
+
+
+def run_both_parsers(monkeypatch, capsys, tmp_path, args):
+    """``main(args)``'s exit code, stdout and stderr: as built, and with
+    ``build_parser`` forced to give every sub-command its arguments."""
+    inst = tmp_path / "fig1_r10.txt"
+    write_instance(fig1_instance(), inst)
+    sol = tmp_path / "fig1_r10.sol"
+    write_solution("fig1_r10", brute_force(fig1_instance()).solution, sol)
+    argv = [a.format(inst=inst, sol=sol, dir=tmp_path) for a in args]
+    outcomes = []
+    for build in (cli.build_parser, lambda command=None, full=cli.build_parser: full()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+@pytest.mark.parametrize("case", ARGV_CASES, ids=["-".join(case) for case in ARGV_CASES])
+def test_each_line_reads_as_with_every_argument(monkeypatch, capsys, tmp_path, case):
+    built, full = run_both_parsers(monkeypatch, capsys, tmp_path, ARGV_CASES[case])
+    assert built == full
+    assert (built[0] == EXIT_OK) == (case[1] in ("valid", "help"))
+
+
+def test_an_option_before_the_sub_command_is_unrecognized(monkeypatch, capsys, tmp_path):
+    built, _ = run_both_parsers(monkeypatch, capsys, tmp_path, ["-x", *VALID_ARGS["cha"]])
+    assert built == (EXIT_USAGE, "", "usage error: unrecognized arguments: -x\n")
+
+
+@pytest.mark.parametrize("first", [*VALID_ARGS, "-x"])
+def test_a_call_adds_only_its_sub_commands_arguments(monkeypatch, capsys, first):
+    # A machine-independent cost of one main() call: every parser adds its
+    # -h (the top level's and eight sub-parsers'), and the sub-command the
+    # line names adds its own arguments; a line that names none adds all.
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main([first, "--bogus"]) == EXIT_USAGE
+    counts = {
+        "gen": 21, "bounds": 10, "cha": 13, "solve": 14, "emit-model": 14,
+        "verify": 11, "report": 11, "worstcase": 15, "-x": 46,
+    }
+    assert len(calls) == counts[first]
 
 
 def test_bounds_output(fig1_file, capsys):

@@ -136,3 +136,29 @@ def test_non_ascii_text_leaves_an_existing_file_as_it_was(tmp_path, fig1):
         write_instance(fig1, path, ["café"])
     assert str(caught.value) == f"cannot write {path}: character 6 is not ASCII"
     assert path.read_bytes() == before
+
+
+def generator_unpack_message(line: str, width: int) -> str:
+    """The reader's message for ``line`` when it unpacked a generator of ints."""
+    try:
+        if width == 2:
+            _, _ = (int(v) for v in line.split())
+        else:
+            _, _, _, _ = (int(v) for v in line.split())
+    except ValueError as exc:
+        return f"malformed instance file: {exc}"
+    raise AssertionError(f"{line!r} unpacks into {width} ints")
+
+
+@pytest.mark.parametrize("line", ["1", "1 2 3", "x 1", "1 x"])
+def test_malformed_item_line_keeps_its_message(line):
+    with pytest.raises(FileFormatError) as err:
+        parse_instance(f"BPPS 1\n1 1 5 1\n0\n0\n{line}\n")
+    assert str(err.value) == generator_unpack_message(line, 2)
+
+
+@pytest.mark.parametrize("line", ["1", "1 2 3", "1 1 5 1 9", "x 1 5 1", "1 1 5 x"])
+def test_malformed_header_line_keeps_its_message(line):
+    with pytest.raises(FileFormatError) as err:
+        parse_instance(f"BPPS 1\n{line}\n0\n0\n1 1\n")
+    assert str(err.value) == generator_unpack_message(line, 4)

@@ -25,7 +25,7 @@ from unittest import mock
 
 import pytest
 
-from bpps import bpp
+from bpps import bpp, exact
 from bpps.bounds import ceil_div, gamma
 from bpps.bpp import (
     RULE_FIRST_FIT,
@@ -417,6 +417,27 @@ def test_branch_and_bound_time_limit_checked_every_1024_nodes():
     # 64, so its one probe walks the reference's tree and stops with it.
     got = branch_and_bound(inst, DEFAULT_NODE_LIMIT, 0.0)
     assert (got.status, got.nodes) == (STATUS_LIMIT, 1024)
+
+
+def test_branch_and_bound_time_limit_counts_the_heuristic(monkeypatch):
+    # The heuristic takes 10 s of a fake clock, past the 5 s limit, so the
+    # search stops at its first clock check instead of proving the optimum
+    # in 2,015 nodes, as it did while the deadline started after it.
+    inst = sweep_instance(15, 1)
+    skew = 0.0
+    clock = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: clock() + skew)
+
+    def slow_cha(*args, **kwargs):
+        nonlocal skew
+        answer = cha(*args, **kwargs)
+        skew += 10.0
+        return answer
+
+    monkeypatch.setattr(exact, "cha", slow_cha)
+    got = branch_and_bound(inst, DEFAULT_NODE_LIMIT, 5.0)
+    assert (got.status, got.nodes) == (STATUS_LIMIT, 1024)
+    assert got.psi == branch_and_bound(inst, DEFAULT_NODE_LIMIT, 0.0).psi
 
 
 def check_class_search(bi: BppInstance, node_limit: int) -> str:
