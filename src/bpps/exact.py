@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bounds import ceil_div, gamma
+from .bounds import bounds_report
 from .bpp import DEFAULT_NODE_LIMIT, depth_first
 from .cha import BPP_HEURISTIC, cha
 from .core import BppsError, Instance, Solution
@@ -110,7 +110,7 @@ def brute_force(inst: Instance) -> ExactResult:
     walk(1, 0)
     if best_cost is None or best_blocks is None:
         raise BppsError("no feasible packing exists (some item cannot fit a bin)")
-    solution = Solution(tuple(frozenset(b) for b in best_blocks))
+    solution = Solution(tuple(best_blocks))
     return ExactResult(best_cost, solution, STATUS_OPTIMAL, best_cost, nodes)
 
 
@@ -133,7 +133,7 @@ def branch_and_bound(
     trivial instance (everything fits one bin) that is the optimal one-bin
     packing.  Costs are integers, so the search is a series of probes
     with a target ``T`` (iterative deepening on the objective), the first
-    ``T`` being the root bound, ``zeta_ddag`` rounded up.  A probe prunes
+    ``T`` being the root bound ``zeta_ddag``, an integer.  A probe prunes
     each node whose partial packing's bound exceeds ``T``.  A full
     packing's bound is its cost, and every cost below ``T`` is refuted, so
     a leaf the probe reaches costs ``T``, is optimal and ends the search.
@@ -162,7 +162,8 @@ def branch_and_bound(
     r = inst.bin_cost
     n, m = inst.n, inst.m
     setup_w, setup_f = inst.setup_weights, inst.setup_costs
-    g = gamma(inst)
+    report = bounds_report(inst)
+    g = report.gamma
     total_weight = inst.total_weight
 
     shift = m + 1
@@ -233,7 +234,7 @@ def branch_and_bound(
                 bins: list[list[int]] = [[] for _ in range(k + (b == k))]
                 for i, bin_ in zip(order, where):
                     bins[bin_].append(i)
-                best_solution = Solution(tuple(map(frozenset, bins)))
+                best_solution = Solution(tuple(bins))
                 return
             states[b] = new
             if fresh:
@@ -251,9 +252,9 @@ def branch_and_bound(
             if best_cost == target:  # a leaf below costs the target
                 return
 
-    # The same bound at the root, zeta_ddag rounded up, is the first target;
+    # The same bound at the root, zeta_ddag, an integer, is the first target;
     # above is the smallest bound past the target that a probe has pruned.
-    target = r * ceil_div(total_weight + sum_s, d) + sum_f
+    target = int(report.zeta_ddag)
     nodes = 0
     while target < best_cost:
         if nodes >= 1024 and time.monotonic() > deadline:

@@ -49,8 +49,6 @@ ROW_PREFIX = {
     FAMILY_MCI: "mci_",
     FAMILY_MBI: "mbi",
 }
-#: The five prefixes, which the reference readers in the tests match.
-_ROW_PREFIXES = tuple(ROW_PREFIX.values())
 #: Each family by the first two letters of its prefix.
 _FAMILY_OF_LEAD = {prefix[:2]: family for family, prefix in ROW_PREFIX.items()}
 
@@ -379,6 +377,20 @@ def _parse_row(chunk: list[str], pool: _Pool, counts: dict[str, int]) -> Row:
     """The row whose tokens, from its ``name:`` on, are ``chunk``; ``counts``
     counts it in its family."""
     name = chunk[0][:-1]
+    # Most rows are ``name: a +/- b sense 0`` whose unit terms were read
+    # before: every linking row but the first of each y_c_b.  Such a row is
+    # built from its two terms, found by name, without the token loop.  The
+    # objective is parsed after the last row, so ``plus`` and ``minus`` hold
+    # only names read in rows and no sense, sign or number token is a key:
+    # the general path below would build the same row, or raise the same
+    # error for a bad row name.
+    if len(chunk) == 6 and chunk[5] == "0":
+        _, a, sign, b, sense, _ = chunk
+        left = pool[1].get(a)
+        right = pool[1].get(b) if sign == "+" else pool[2].get(b) if sign == "-" else None
+        if left and right and sense in _SENSES:
+            counts[_family_of(name)] += 1
+            return _new_tuple(Row, (name, (left, right), _SENSES[sense], 0))
     body = chunk[1:-2]
     # The sense is the last token but one and no earlier token is one.
     if len(chunk) < 3 or chunk[-2] not in _SENSES or not _SENSES.keys().isdisjoint(body):
@@ -424,8 +436,6 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
     counts = dict.fromkeys(ROW_PREFIX, 0)
     pool: _Pool = ({}, {}, {}, {})
     names, plus, minus, shared = pool
-    units_after = {"+": plus, "-": minus}  # a sign token's unit terms
-    no_terms: dict[str, _Term] = {}
     chunk: list[str] | None = None  # the tokens of the row being read
 
     for raw in lines:
@@ -452,26 +462,7 @@ def _read_lp(lines: Iterable[str]) -> MilpModel:
                 chunk.extend(tokens)
             elif first[-1] == ":" and raw.count(":") == 1:
                 if chunk is not None:
-                    # Most rows are ``name: a +/- b sense 0`` whose unit
-                    # terms were read before: every linking row but the
-                    # first of each y_c_b.  Such a row is built here as
-                    # _parse_row would build it, since a name found in
-                    # ``plus`` or ``minus`` was read as a name and is no
-                    # sign, number or sense.  Any other row goes there.
-                    row = None
-                    if len(chunk) == 6 and chunk[5] == "0":
-                        label, a, sign, b, sense, _ = chunk
-                        name = label[:-1]
-                        family = _FAMILY_OF_LEAD.get(name[:2])
-                        left = plus.get(a)
-                        right = units_after.get(sign, no_terms).get(b)
-                        if (
-                            left and right and sense in _SENSES
-                            and family and name.startswith(ROW_PREFIX[family])
-                        ):
-                            counts[family] += 1
-                            row = _new_tuple(Row, (name, (left, right), _SENSES[sense], 0))
-                    rows.append(row or _parse_row(chunk, pool, counts))
+                    rows.append(_parse_row(chunk, pool, counts))
                 chunk = tokens
             else:
                 for tok in tokens:
@@ -621,4 +612,4 @@ def import_solution(inst: Instance, model: MilpModel, assignment_text: str) -> S
         for b, items in enumerate(bins, start=1):
             if values.get(var_x(i, b)):
                 items.append(i)
-    return Solution(tuple(frozenset(b) for b in bins if b))
+    return Solution(tuple(b for b in bins if b))

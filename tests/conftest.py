@@ -3,6 +3,8 @@ from __future__ import annotations
 import contextlib
 import random
 import tracemalloc
+from collections import Counter
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -10,7 +12,7 @@ import bpps.cli
 import bpps.core
 import bpps.report
 from bpps.bounds import ceil_div, gamma
-from bpps.core import Instance
+from bpps.core import Instance, active_classes
 from bpps.gen import COST_WITH, GeneratorConfig, generate, generate_benchmark
 
 
@@ -63,12 +65,22 @@ def sweep_instance(n: int, j: int) -> Instance:
     return generate(cfg)
 
 
-def root_bound(inst: Instance) -> int:
-    """``r * ceil((W + sum gamma_c s_c) / d) + sum gamma_c f_c``: ``zeta_ddag`` rounded up."""
-    g = gamma(inst)
-    setup_weight = sum(gc * s for gc, s in zip(g, inst.setup_weights))
-    setup_cost = sum(gc * f for gc, f in zip(g, inst.setup_costs))
-    return inst.bin_cost * ceil_div(inst.total_weight + setup_weight, inst.capacity) + setup_cost
+def completion_bound(inst: Instance, bins: Sequence[Iterable[int]]) -> int:
+    """The bound on every completion of the partial packing ``bins``, from scratch.
+
+    A class active in ``a_c`` of the bins ends active in at least
+    ``max(a_c, gamma_c)`` bins, and the bins hold the total weight and
+    those setups without dropping below ``len(bins)``:
+    ``r * max(len(bins), ceil((W + sum max(a_c, gamma_c) s_c) / d))
+    + sum max(a_c, gamma_c) f_c``.  With no bins it is ``zeta_ddag``, an
+    integer; on a full packing it is the packing's cost.
+    """
+    active = Counter(c for b in bins for c in active_classes(inst, b))
+    counts = [max(active[c], gc) for c, gc in zip(inst.classes, gamma(inst))]
+    setup_weight = sum(a * s for a, s in zip(counts, inst.setup_weights))
+    setup_cost = sum(a * f for a, f in zip(counts, inst.setup_costs))
+    k_min = ceil_div(inst.total_weight + setup_weight, inst.capacity)
+    return inst.bin_cost * max(len(bins), k_min) + setup_cost
 
 
 @contextlib.contextmanager

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -16,7 +15,7 @@ from bpps.exact import (
     brute_force,
 )
 from bpps.gen import COST_WITH, GeneratorConfig, generate, worst_case
-from conftest import random_instance, root_bound, sweep_instance
+from conftest import completion_bound, random_instance, sweep_instance
 from test_search_equivalence import NODE_LIMITS, proved, ref_branch_and_bound
 
 
@@ -104,8 +103,8 @@ class TestTargetedSearch:
     def test_a_stop_reports_at_least_the_root_bound(self):
         stops = raised = 0
         for inst in sweep_regime():
-            root = root_bound(inst)
-            assert root == math.ceil(zeta_lp_ddag(inst))
+            root = completion_bound(inst, ())
+            assert root == zeta_lp_ddag(inst)
             for node_limit in NODE_LIMITS:
                 result = branch_and_bound(inst, node_limit)
                 if result.status == STATUS_LIMIT:
@@ -121,11 +120,12 @@ class TestTargetedSearch:
         raised = 0
         for inst in instances:
             best = brute_force(inst).psi
+            root = completion_bound(inst, ())
             for node_limit in NODE_LIMITS:
                 result = branch_and_bound(inst, node_limit)
                 assert result.lower_bound <= best <= result.psi
                 assert result.status == STATUS_LIMIT or result.psi == best
-                raised += result.status == STATUS_LIMIT and result.lower_bound > root_bound(inst)
+                raised += result.status == STATUS_LIMIT and result.lower_bound > root
         assert raised > 0
 
     def test_clock_is_read_between_probes(self):

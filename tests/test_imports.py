@@ -1,9 +1,12 @@
 """Every name a library module imports is used in that module,
 instance validation stays in ``core``, the heuristic path takes only
 the settings its callers set, the model's variants and row families
-are each defined once, every exception is raised where it arises, the
-generator draws every integer through its one draw kernel, and no
-module changes interpreter state that every caller in the process shares.
+are each defined once, the LP reader builds every row in ``_parse_row``
+and decides a row's family only in ``_family_of``, branch-and-bound
+takes its root bound from ``bounds_report``, every exception is raised
+where it arises, the generator draws every integer through its one draw
+kernel, and no module changes interpreter state that every caller in the
+process shares.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -140,6 +143,93 @@ def test_the_check_sees_each_use_of_a_prefix():
 def test_each_row_name_prefix_is_written_once(prefix):
     source = (PACKAGE / "milp.py").read_text(encoding="utf-8")
     assert len(prefix_uses(source, prefix)) == 1
+
+
+def readers(source: str, name: str) -> list[str]:
+    """Where ``name`` is read: the top-level function or class of each read,
+    or ``<module>``."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        found += [
+            where
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        ]
+    return found
+
+
+def test_the_check_sees_each_read_of_a_name():
+    source = (
+        "LEAD = {}\n"
+        "def _family_of(name):\n    return LEAD[name[:2]]\n"
+        "def _read_lp(name):\n    LEAD = {}\n    return LEAD.get(name)\n"
+        "alias = LEAD\n"
+    )
+    assert readers(source, "LEAD") == ["_family_of", "_read_lp", "<module>"]
+
+
+def test_a_row_name_family_is_decided_only_in_family_of():
+    source = (PACKAGE / "milp.py").read_text(encoding="utf-8")
+    assert readers(source, "_FAMILY_OF_LEAD") == ["_family_of"]
+
+
+def builds_row(call: ast.Call) -> bool:
+    """``Row(...)``, or a call such as ``_new_tuple(Row, ...)`` whose first argument is ``Row``."""
+    named = [call.func, *call.args[:1]]
+    return any(isinstance(node, ast.Name) and node.id == "Row" for node in named)
+
+
+def row_builds(source: str, function: str) -> list[str]:
+    """Lines of the calls in the top-level ``function`` that build a ``Row``."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            return [
+                f"line {node.lineno}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and builds_row(node)
+            ]
+    raise AssertionError(f"no function {function!r}")
+
+
+def test_the_check_sees_a_row_built():
+    source = (
+        "def _read_lp(chunk):\n"
+        "    a = _new_tuple(Row, (chunk, (), '=', 0))\n"
+        "    b = Row(chunk, (), '=', 0)\n"
+        "    return _parse_row(chunk, pool, counts)\n"
+        "def _parse_row(chunk):\n    return _new_tuple(Row, chunk)\n"
+    )
+    assert row_builds(source, "_read_lp") == ["line 2", "line 3"]
+
+
+def test_only_parse_row_builds_the_rows_read():
+    source = (PACKAGE / "milp.py").read_text(encoding="utf-8")
+    assert row_builds(source, "_read_lp") == []
+    assert row_builds(source, "_parse_row") != []
+
+
+def imported_names(source: str) -> list[str]:
+    """Each name an import statement brings in, by its original name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name for alias in node.names]
+    return found
+
+
+#: What a closed-form root bound is computed from; ``bounds_report`` owns it.
+ROOT_BOUND_HELPERS = {"ceil_div", "gamma"}
+
+
+def test_the_check_sees_a_root_bound_helper_imported():
+    source = "from .bounds import bounds_report, ceil_div as up\nimport gamma\n"
+    assert ROOT_BOUND_HELPERS.intersection(imported_names(source)) == {"ceil_div", "gamma"}
+
+
+def test_branch_and_bound_takes_its_root_bound_from_the_bounds_report():
+    source = (PACKAGE / "exact.py").read_text(encoding="utf-8")
+    assert ROOT_BOUND_HELPERS.isdisjoint(imported_names(source))
 
 
 def variant_tuple_tests(source: str) -> list[str]:

@@ -29,12 +29,12 @@ from bpps.core import Instance, Solution
 from bpps.exact import brute_force
 from bpps.milp import (
     MODEL_VARIANTS,
+    ROW_PREFIX,
     LpFormatError,
     MilpModel,
     Row,
     SolutionImportError,
     VARIANT_DDAG,
-    _ROW_PREFIXES,
     _family_of,
     _round_binary,
     _wrap,
@@ -207,6 +207,7 @@ def ref_parse_lp(text: str) -> MilpModel:
 
 
 _SENSE_SET = frozenset(_SENSES)
+_ROW_PREFIXES = tuple(ROW_PREFIX.values())
 _SECTIONS = {"minimize": "objective", "subject to": "rows", "binaries": "binaries", "end": None}
 
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from typing import Iterator
 from unittest import mock
 
 import pytest
 
 from bpps import bpp, exact
-from bpps.bounds import ceil_div, gamma
+from bpps.bounds import ceil_div, gamma, zeta_lp_ddag
 from bpps.bpp import (
     RULE_FIRST_FIT,
     BppInstance,
@@ -54,8 +55,9 @@ from bpps.exact import (
     STATUS_OPTIMAL,
     ExactResult,
     branch_and_bound,
+    brute_force,
 )
-from conftest import random_instance, root_bound, sweep_instance
+from conftest import completion_bound, random_instance, sweep_instance
 
 NODE_LIMITS = (0, 1, 50, 2_000)
 
@@ -339,7 +341,7 @@ def check_branch_and_bound(
         assert got.lower_bound == got.psi
     else:
         assert got.status == STATUS_LIMIT
-        assert root_bound(inst) <= got.lower_bound < got.psi
+        assert completion_bound(inst, ()) <= got.lower_bound < got.psi
     if proved(got) and proved(want):
         assert got.psi == want.psi
     elif proved(want):
@@ -366,6 +368,60 @@ def test_branch_and_bound_matches_at_the_benchmark_limit():
             want = check_branch_and_bound(sweep_instance(n, j), 2_000)
             stopped += want.status == STATUS_LIMIT
     assert stopped > 32
+
+
+def bound_checked(inst: Instance, node: Iterator, seen: dict[str, int]) -> Iterator:
+    """``node``'s children, each checked as branch-and-bound yields it.
+
+    At each child it reads the parent's locals, rebuilds the child's
+    partial packing from the trail (the ancestors' bins in ``where``, then
+    bin ``b``) and asserts that the bound ``lb`` the parent computed
+    incrementally is that packing's :func:`completion_bound`.  A child
+    node is checked the same way, so ``depth_first`` walks, counts and
+    stops as on the bare nodes.  ``seen`` counts the children pruned, the
+    leaves and the children walked on.
+    """
+    for child in node:
+        at = node.gi_frame.f_locals
+        idx, lb = at["idx"], at["lb"]
+        trail = [*at["where"][:idx], at["b"]]
+        bins: list[list[int]] = [[] for _ in range(max(trail) + 1)]
+        for i, b in zip(at["order"], trail):
+            bins[b].append(i)
+        assert lb == completion_bound(inst, bins), (inst, bins)
+        seen["pruned" if lb > at["target"] else "leaf" if idx + 1 == inst.n else "inner"] += 1
+        yield None if child is None else bound_checked(inst, child, seen)
+
+
+def test_every_child_bound_is_the_completion_bound():
+    # The incremental bound of each child, pruned, leaf or walked on, is
+    # the from-scratch bound of its partial packing; checking it changes
+    # neither the result nor the node count.
+    rng = random.Random(29)
+    cases = [(sweep_instance(n, j), 2_000) for n in range(10, 21) for j in range(4)]
+    cases += [(random_instance(rng, max_n=12, max_m=4), 5_000) for _ in range(200)]
+    seen = {"pruned": 0, "leaf": 0, "inner": 0}
+    for inst, node_limit in cases:
+        def walk(root, *limits):
+            return depth_first(bound_checked(inst, root, seen), *limits)
+
+        with mock.patch.object(exact, "depth_first", walk):
+            got = branch_and_bound(inst, node_limit)
+        assert got == branch_and_bound(inst, node_limit)
+    assert sum(seen.values()) > 29_000 and min(seen.values()) > 0, seen
+
+
+def test_the_completion_bound_at_the_root_and_at_full_packings(benchmark_480):
+    # No bins: zeta_ddag.  A full packing: its cost.
+    for _, inst in benchmark_480:
+        assert completion_bound(inst, ()) == zeta_lp_ddag(inst)
+        solution, _ = cha(inst, BPP_HEURISTIC)
+        assert completion_bound(inst, solution.bins) == solution_cost(inst, solution).total
+    rng = random.Random(31)
+    for _ in range(100):
+        inst = random_instance(rng)
+        solution = brute_force(inst).solution
+        assert completion_bound(inst, solution.bins) == solution_cost(inst, solution).total
 
 
 def wide_class_instance() -> Instance:
