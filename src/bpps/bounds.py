@@ -67,10 +67,7 @@ def gamma(inst: Instance) -> tuple[int, ...]:
 
 def zeta_lp_n(inst: Instance) -> Fraction:
     """Bound from spreading items and setups evenly over the bins."""
-    spread = Fraction(inst.bin_cost, inst.capacity) * (
-        inst.total_weight + inst.total_setup_weight
-    )
-    return spread + sum(inst.setup_costs)
+    return bounds_report(inst).zeta_n
 
 
 def zeta_lp_dag(inst: Instance) -> Fraction:
@@ -114,11 +111,13 @@ def bounds_report(inst: Instance) -> BoundsReport:
     load = inst.total_weight + _weighted(g, inst.setup_weights)
     setup_cost = _weighted(g, inst.setup_costs)
     kl = ceil_div(load, inst.capacity)
+    per_unit = Fraction(inst.bin_cost, inst.capacity)
     return BoundsReport(
         gamma=g,
         k_lower=kl,
-        zeta_n=zeta_lp_n(inst),
-        zeta_dag=Fraction(inst.bin_cost, inst.capacity) * load + setup_cost,
+        zeta_n=per_unit * (inst.total_weight + inst.total_setup_weight)
+        + sum(inst.setup_costs),
+        zeta_dag=per_unit * load + setup_cost,
         zeta_ddag=Fraction(inst.bin_cost * kl) + setup_cost,
     )
 

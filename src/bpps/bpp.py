@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import ceil_div
-from .core import BppsError, store_integers
+from .core import BppsError, Instance, store_integers
 
 RULE_NEXT_FIT = "NF"
 RULE_FIRST_FIT = "FF"
@@ -158,7 +158,7 @@ class BppPacking:
         return len(self.bins)
 
 
-def decreasing_order(bi: BppInstance) -> tuple[int, ...]:
+def decreasing_order(bi: BppInstance | Instance) -> tuple[int, ...]:
     """Item indices by non-increasing weight, ties by index."""
     return tuple(
         sorted(range(1, bi.n + 1), key=lambda i: (-bi.weights[i - 1], i))
@@ -258,8 +258,8 @@ def _fit(
     return bins
 
 
-def _heuristic_search(bi: BppInstance, seed: int) -> tuple[int, BppPacking]:
-    """Best (bin count, packing) over the fit rules and ``PERM_COUNT`` orders.
+def _heuristic_search(bi: BppInstance, seed: int) -> BppPacking:
+    """Best packing over the fit rules and ``PERM_COUNT`` orders.
 
     Random orders are drawn one at a time, only when the loop reaches them,
     from a single seeded stream, so order k is the same however early the
@@ -284,8 +284,8 @@ def _heuristic_search(bi: BppInstance, seed: int) -> tuple[int, BppPacking]:
             if bins is not None:
                 best, most = bins, len(bins) - 1
                 if most < floor:
-                    return len(best), _packed(best)
-    return len(best), _packed(best)
+                    return _packed(best)
+    return _packed(best)
 
 
 def heuristic_beta(bi: BppInstance, seed: int = 0) -> int:
@@ -298,12 +298,12 @@ def heuristic_beta(bi: BppInstance, seed: int = 0) -> int:
     smallest weight)))``, and each fit stops once it cannot beat the best
     packing so far; neither stop changes the result.
     """
-    return _heuristic_search(bi, seed)[0]
+    return _heuristic_search(bi, seed).bin_count
 
 
 def heuristic_packing(bi: BppInstance, seed: int = 0) -> BppPacking:
     """The packing behind :func:`heuristic_beta`."""
-    return _heuristic_search(bi, seed)[1]
+    return _heuristic_search(bi, seed)
 
 
 #: The most bits the minimum-slack start may keep for one bin: an int as
@@ -368,7 +368,7 @@ def _min_slack_bins(
     return bins
 
 
-def _exact_search(bi: BppInstance, node_limit: int) -> tuple[int, BppPacking]:
+def _exact_search(bi: BppInstance, node_limit: int) -> BppPacking:
     """Depth-first branch-and-bound over bin assignments.
 
     Items are placed in non-increasing weight order into every open bin
@@ -395,7 +395,7 @@ def _exact_search(bi: BppInstance, node_limit: int) -> tuple[int, BppPacking]:
     if it uses fewer bins, and one that reaches ``floor`` proves the count
     at the root.  Its subset-sums may look at up to ``node_limit`` items,
     a budget apart from the nodes, so node limits 0 and 1 never build it.
-    Returns the count and its packing.  A walk the limit stops raises
+    Returns the optimal packing.  A walk the limit stops raises
     :class:`NodeLimitExceeded`, which carries the nodes walked, only while
     the incumbent is above ``floor``: one at ``floor`` closes the bracket,
     a proof, and comes back as a finished walk does.
@@ -466,16 +466,16 @@ def _exact_search(bi: BppInstance, node_limit: int) -> tuple[int, BppPacking]:
         # The root bound is the only lower bound still valid for the
         # abandoned part of the tree; an incumbent at it is proved.
         raise NodeLimitExceeded(best_count, floor, nodes, packing)
-    return best_count, packing
+    return packing
 
 
 def exact_beta(bi: BppInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> int:
     """Exact minimum bin count; raises :class:`NodeLimitExceeded` on budget."""
-    return _exact_search(bi, node_limit)[0]
+    return _exact_search(bi, node_limit).bin_count
 
 
 def exact_packing(
     bi: BppInstance, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> BppPacking:
     """An optimal packing attaining :func:`exact_beta`."""
-    return _exact_search(bi, node_limit)[1]
+    return _exact_search(bi, node_limit)

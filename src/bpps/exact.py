@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bounds import bounds_report
-from .bpp import DEFAULT_NODE_LIMIT, depth_first
+from .bpp import DEFAULT_NODE_LIMIT, decreasing_order, depth_first
 from .cha import BPP_HEURISTIC, cha
 from .core import BppsError, Instance, Solution
 
@@ -168,7 +168,7 @@ def branch_and_bound(
 
     shift = m + 1
     full = (d + 1) << shift  # a state at or past this overfills its bin
-    order = sorted(inst.items, key=lambda i: (-inst.weight(i), i))
+    order = decreasing_order(inst)
     # One row per depth for the item placed there: the state increments
     # into a bin where its class is active and into one where it is not,
     # then its class, class bit, gamma_c, setup weight and setup cost.

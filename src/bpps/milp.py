@@ -253,14 +253,9 @@ def _wrap(prefix: str, tokens: list[str], out: list[str]) -> None:
     """Append ``prefix`` and the tokens as lines of at most ``_LINE_WIDTH``.
 
     A line breaks before a token that would overrun the width, and the
-    next line starts with a space.  Most rows fit one line, so the whole
-    line is joined first: a row that fits never breaks.
+    next line starts with a space.  An empty prefix with no tokens writes
+    no line.
     """
-    line = f"{prefix} {' '.join(tokens)}" if tokens else prefix
-    if len(line) <= _LINE_WIDTH:
-        if line:
-            out.append(line)
-        return
     parts = [prefix]
     width = len(prefix)
     for tok in tokens:
@@ -271,7 +266,8 @@ def _wrap(prefix: str, tokens: list[str], out: list[str]) -> None:
         else:
             parts.append(tok)
             width += 1 + len(tok)
-    out.append(" ".join(parts))
+    if width:
+        out.append(" ".join(parts))
 
 
 def render_lp(model: MilpModel) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bpps
-from bpps import cli
+from bpps import cli, gen
 from bpps.cli import (
     EXIT_INFEASIBLE,
     EXIT_IO,
@@ -439,7 +439,7 @@ def test_worstcase_refuses_a_bad_sweep_end_before_the_sweep(
         assert len(calls) <= 2, "the sweep was built before its end was checked"
         return worst_case(*args, **kwargs)
 
-    monkeypatch.setattr("bpps.gen.worst_case", counted)
+    monkeypatch.setattr(gen, "worst_case", counted)
     assert main(["worstcase", "--family", family, "--sweep", sweep]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert len(calls) == 2

@@ -3,10 +3,11 @@ instance validation stays in ``core``, the heuristic path takes only
 the settings its callers set, the model's variants and row families
 are each defined once, the LP reader builds every row in ``_parse_row``
 and decides a row's family only in ``_family_of``, branch-and-bound
-takes its root bound from ``bounds_report``, every exception is raised
+takes its root bound from ``bounds_report``, every public closed-form
+bound is evaluated in ``bounds_report``, every exception is raised
 where it arises, the generator draws every integer through its one draw
 kernel, and no module changes interpreter state that every caller in the
-process shares.
+process shares.  No test patches ``bpps`` through a dotted-path string.
 
 The package's ``__init__`` is left out: it imports only to re-export.
 """
@@ -232,6 +233,64 @@ def test_branch_and_bound_takes_its_root_bound_from_the_bounds_report():
     assert ROOT_BOUND_HELPERS.isdisjoint(imported_names(source))
 
 
+#: Each public closed-form bound and the ``BoundsReport`` field it returns.
+PUBLIC_BOUNDS = {
+    "zeta_lp_n": "zeta_n",
+    "zeta_lp_dag": "zeta_dag",
+    "zeta_lp_ddag": "zeta_ddag",
+    "k_lower": "k_lower",
+}
+
+
+def bodies(source: str) -> dict[str, str]:
+    """Each top-level function's body without its docstring, as source text."""
+    found = {}
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef):
+            body = top.body
+            if ast.get_docstring(top) is not None:
+                body = body[1:]
+            found[top.name] = "\n".join(ast.unparse(stmt) for stmt in body)
+    return found
+
+
+def called_names(source: str, function: str) -> set[str]:
+    """The plain names the top-level ``function`` calls."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            return {
+                node.func.id
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+    raise AssertionError(f"no function {function!r}")
+
+
+def test_the_check_sees_a_bound_evaluated_twice():
+    source = (
+        "def zeta_lp_n(inst):\n"
+        "    \"\"\"Spread.\"\"\"\n"
+        "    return Fraction(inst.bin_cost, inst.capacity) * inst.total_weight\n"
+        "def k_lower(inst):\n    return bounds_report(inst).k_lower\n"
+        "def bounds_report(inst):\n    return BoundsReport(zeta_n=zeta_lp_n(inst))\n"
+    )
+    assert bodies(source) == {
+        "zeta_lp_n": "return Fraction(inst.bin_cost, inst.capacity) * inst.total_weight",
+        "k_lower": "return bounds_report(inst).k_lower",
+        "bounds_report": "return BoundsReport(zeta_n=zeta_lp_n(inst))",
+    }
+    assert called_names(source, "bounds_report") == {"BoundsReport", "zeta_lp_n"}
+
+
+def test_every_closed_form_is_evaluated_in_the_bounds_report():
+    source = (PACKAGE / "bounds.py").read_text(encoding="utf-8")
+    found = bodies(source)
+    assert {name: found[name] for name in PUBLIC_BOUNDS} == {
+        name: f"return bounds_report(inst).{field}" for name, field in PUBLIC_BOUNDS.items()
+    }
+    assert set(PUBLIC_BOUNDS).isdisjoint(called_names(source, "bounds_report"))
+
+
 def variant_tuple_tests(source: str) -> list[str]:
     """``in`` and ``not in`` tests against a literal collection of ``VARIANT_`` names."""
     found = []
@@ -389,3 +448,54 @@ def test_the_check_sees_process_wide_state():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_changes_process_wide_state(path):
     assert process_wide_state(path.read_text(encoding="utf-8")) == []
+
+
+#: What a test patches with: ``monkeypatch.setattr`` and ``delattr``,
+#: ``mock.patch``.  Given a dotted-path string, each imports the path's
+#: module when it runs, and ``perfbench``'s ``import_bpps`` replaces every
+#: ``bpps`` module with a fresh one, so after it such a patch misses the
+#: module objects the test imported.
+PATCHERS = {"setattr", "delattr", "patch"}
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def dotted_bpps_patches(source: str) -> list[str]:
+    """Patch calls whose first argument is a ``bpps`` dotted-path string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        target = node.args[0]
+        if (
+            name in PATCHERS
+            and isinstance(target, ast.Constant)
+            and isinstance(target.value, str)
+            and target.value.split(".")[0] == "bpps"
+        ):
+            found.append((node.lineno, target.value))
+    return [f"line {line}: {path}" for line, path in sorted(found)]
+
+
+def test_the_check_sees_a_dotted_path_patch():
+    source = (
+        "from unittest import mock\n"
+        "from bpps import milp\n"
+        "monkeypatch.setattr('bpps.milp.MAX_MODEL_VARIABLES', 3)\n"
+        "monkeypatch.setattr(milp, 'MAX_MODEL_VARIABLES', 3)\n"
+        "with mock.patch('bpps.gen.worst_case', counted):\n"
+        "    pass\n"
+        "monkeypatch.delattr('bpps.cli.main')\n"
+        "monkeypatch.setattr('os.sep', '/')\n"
+        "patch('bpps_other.x', 1)\n"
+    )
+    assert dotted_bpps_patches(source) == [
+        "line 3: bpps.milp.MAX_MODEL_VARIABLES",
+        "line 5: bpps.gen.worst_case",
+        "line 7: bpps.cli.main",
+    ]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.stem)
+def test_no_test_patches_bpps_through_a_dotted_path(path):
+    assert dotted_bpps_patches(path.read_text(encoding="utf-8")) == []

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from bpps import milp
 from bpps.bounds import VARIANT_DAG, VARIANT_N, gamma, k_lower
 from bpps.core import Instance, Solution, active_classes, solution_cost
 from bpps.exact import brute_force
@@ -136,9 +137,9 @@ class TestCounts:
 
     @pytest.mark.parametrize("variant, count", [(VARIANT_N, 88), (VARIANT_STAR, 55)])
     def test_a_model_past_the_size_budget_is_refused(self, fig1, monkeypatch, variant, count):
-        monkeypatch.setattr("bpps.milp.MAX_MODEL_VARIABLES", count)
+        monkeypatch.setattr(milp, "MAX_MODEL_VARIABLES", count)
         assert build_model(fig1, variant).variable_count == count
-        monkeypatch.setattr("bpps.milp.MAX_MODEL_VARIABLES", count - 1)
+        monkeypatch.setattr(milp, "MAX_MODEL_VARIABLES", count - 1)
         with pytest.raises(ModelTooLargeError) as info:
             build_model(fig1, variant)
         assert str(info.value) == (

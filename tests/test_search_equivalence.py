@@ -298,8 +298,8 @@ def counted_exact_search(bi: BppInstance, node_limit: int) -> tuple[int, BppPack
         return walks[-1]
 
     with mock.patch.object(bpp, "depth_first", walk):
-        count, packing = _exact_search(bi, node_limit)
-    return count, packing, walks[0][0]
+        packing = _exact_search(bi, node_limit)
+    return packing.bin_count, packing, walks[0][0]
 
 
 def outcome(search, *args):
